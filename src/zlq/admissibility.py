@@ -33,6 +33,7 @@ from .board import (
     Row,
     TwoEdge,
     classify,
+    row_index,
     rows,
 )
 from .families import Family
@@ -105,6 +106,10 @@ class ScratchBoard:
         """(row index, column) pairs of the two halves."""
         (i1, j1, c1), (i2, j2, c2) = edge
         return self.rowidx[(i1, j1)], c1, self.rowidx[(i2, j2)], c2
+
+    def placed_entry(self, edge: TwoEdge) -> tuple[int, int, int, int, bool]:
+        """The record ``insertion_ok`` expects in ``placed``: coords and nondegeneracy."""
+        return (*self.coords(edge), classify(edge) == NONDEGENERATE)
 
     def occupied(self, ri: int, c: int) -> bool:
         return bool((self.col_masks[ri] >> c) & 1)
@@ -214,8 +219,7 @@ class Board:
 
     def owner_of(self, cell: Cell) -> int:
         i, j, c = cell
-        ri = rows(self.q).index((i, j))
-        return self.owners[ri * (self.q + 1) + c]
+        return self.owners[row_index(self.q, i, j) * (self.q + 1) + c]
 
     def counts(self) -> dict[str, int]:
         one = sum(1 for o in self.owners if o == ONE_EDGE)
@@ -347,35 +351,19 @@ def incremental_check(board: Board, family: Family, edge: TwoEdge) -> bool:
     if board.s_violations:
         return False
     scratch = _scratch_from_board(board)
-    coords = scratch.coords(edge)
-    placed = []
-    for g in family.edges:
-        g1, gc1, g2, gc2 = scratch.coords(g)
-        placed.append((g1, gc1, g2, gc2, classify(g) == NONDEGENERATE))
-    return scratch.insertion_ok(coords, classify(edge) == NONDEGENERATE, placed)
-
-
-def is_statically_infeasible(scratch: ScratchBoard, edge: TwoEdge) -> bool:
-    """Infeasible against the 1-edge background alone.
-
-    The scratch board must carry only the background.  A singleton family
-    {edge} already violating a rule can never appear in an admissible
-    family (admissibility is hereditary), so solvers drop such candidates
-    up front.
-    """
-    r1, c1, r2, c2 = scratch.coords(edge)
-    if not scratch.cells_free(r1, c1, r2, c2):
-        raise BoardError("static feasibility requires a background-only board")
-    scratch.place(r1, c1, r2, c2)
-    try:
-        if classify(edge) == NONDEGENERATE and scratch.c2_hit(r1, c1, r2, c2):
-            return True
-        return scratch.c3_hit(r1, c1, r2, c2)
-    finally:
-        scratch.unplace(r1, c1, r2, c2)
+    placed = [scratch.placed_entry(g) for g in family.edges]
+    return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
 
 
 def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:
-    """Per-candidate flag: True when the candidate is infeasible on its own."""
+    """Per-candidate flag: True when the candidate is infeasible on its own.
+
+    A singleton family {edge} already violating a rule against the 1-edge
+    background can never appear in an admissible family (admissibility is
+    hereditary), so solvers drop such candidates up front.
+    """
     scratch = ScratchBoard(q)
-    return [is_statically_infeasible(scratch, e) for e in candidates]
+    return [
+        not scratch.insertion_ok(scratch.coords(e), classify(e) == NONDEGENERATE, [])
+        for e in candidates
+    ]

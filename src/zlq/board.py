@@ -51,8 +51,11 @@ def rows(q: int) -> list[Row]:
     return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
 
 
-def row_index_map(q: int) -> dict[Row, int]:
-    return {r: k for k, r in enumerate(rows(q))}
+def row_index(q: int, i: int, j: int) -> int:
+    """Position of the row {i, j} (i < j) in ``rows(q)``, in O(1)."""
+    if not 0 <= i < j <= q:
+        raise BoardError(f"row ({i},{j}) is not on the {q}-board")
+    return i * q - i * (i - 1) // 2 + j - i - 1
 
 
 def validate_cell(q: int, cell: Cell) -> None:

@@ -18,6 +18,9 @@ are pairwise compatible with everything chosen.  Pruning combines
 Pairwise masks are a relaxation (three or more edges can clash through the
 five-cell rule even when all pairs coexist), so every extension is still
 guarded by the exact incremental check.
+
+One core serves both entry points: ``solve_exact`` runs it over an empty
+base, ``solve_extension`` over a frozen, verified base family.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 from .board import Mode, NONDEGENERATE, TwoEdge, check_mode, check_q, candidate_family, classify, make_edge
 from .families import Family
-from .admissibility import ScratchBoard, static_prune_flags, verify
+from .admissibility import ScratchBoard, verify
 
 OPTIMAL = "optimal"
 INCUMBENT = "incumbent"
@@ -108,6 +111,8 @@ def pairwise_conflicts(
     q: int,
     candidates: list[TwoEdge],
     base: Family | None = None,
+    *,
+    _deadline: float | None = None,
 ) -> list[int]:
     """Bitmask per candidate of the candidates it can never coexist with.
 
@@ -116,20 +121,23 @@ def pairwise_conflicts(
     completed between the two, or a two-edge five-cell pattern.  The
     relation is sound but not complete; larger clashes surface in the
     incremental checks of the search itself.
+
+    The solvers pass their budget as ``_deadline`` (a ``time.monotonic``
+    value); once it has passed, no further rows are filled.  A partial
+    relation is still sound, it only prunes less.
     """
     scratch = ScratchBoard(q)
-    base_placed = []
-    if base is not None:
-        for g in base.edges:
-            coords = scratch.coords(g)
-            scratch.place(*coords)
-            base_placed.append((*coords, classify(g) == NONDEGENERATE))
+    base_placed = [] if base is None else [scratch.placed_entry(g) for g in base.edges]
+    for entry in base_placed:
+        scratch.place(*entry[:4])
     coords = [scratch.coords(e) for e in candidates]
     nondeg = [classify(e) == NONDEGENERATE for e in candidates]
     cellmasks = [_cell_mask(scratch, e) for e in candidates]
     n = len(candidates)
     masks = [0] * n
     for i in range(n):
+        if _deadline is not None and time.monotonic() > _deadline:
+            break
         placed_i = base_placed + [(*coords[i], nondeg[i])]
         scratch.place(*coords[i])
         bit_i = 1 << i
@@ -159,9 +167,9 @@ class _Search:
         coords: list[tuple[int, int, int, int]],
         nondeg: list[bool],
         conflicts: list[int],
-        frozen_placed: list[tuple[int, int, int, int, bool]],
+        base_placed: list[tuple[int, int, int, int, bool]],
         node_limit: int | None,
-        time_limit: float | None,
+        deadline: float | None,
         canonical: bool,
         level0_mask: int | None,
     ):
@@ -170,20 +178,17 @@ class _Search:
         self.coords = coords
         self.nondeg = nondeg
         self.conflicts = conflicts
-        self.frozen = list(frozen_placed)
         self.node_limit = node_limit
-        self.time_limit = time_limit
+        self.deadline = deadline
         self.canonical = canonical
         self.level0_mask = level0_mask
         self.chosen: list[int] = []
-        self.placed: list[tuple[int, int, int, int, bool]] = list(frozen_placed)
+        self.placed: list[tuple[int, int, int, int, bool]] = list(base_placed)
         self.best_size = -1
         self.best_set: tuple[int, ...] = ()
         self.nodes = 0
-        self.start = time.monotonic()
         self.events: list[dict] = []
         self.exhausted = True
-
     def seed(self, indices: tuple[int, ...]) -> None:
         self.best_size = len(indices)
         self.best_set = tuple(indices)
@@ -211,8 +216,8 @@ class _Search:
             )
         if self.node_limit is not None and self.nodes >= self.node_limit:
             raise _BudgetExhausted
-        if self.time_limit is not None and self.nodes % 1024 == 0:
-            if time.monotonic() - self.start > self.time_limit:
+        if self.deadline is not None and self.nodes % 1024 == 0:
+            if time.monotonic() > self.deadline:
                 raise _BudgetExhausted
 
     def run(self, root: int) -> None:
@@ -253,10 +258,10 @@ def _greedy_seed(
     scratch: ScratchBoard,
     coords: list[tuple[int, int, int, int]],
     nondeg: list[bool],
-    frozen_placed: list[tuple[int, int, int, int, bool]],
+    base_placed: list[tuple[int, int, int, int, bool]],
 ) -> tuple[int, ...]:
     """Cheap deterministic incumbent: first-fit over the static order."""
-    placed = list(frozen_placed)
+    placed = list(base_placed)
     chosen = []
     for i in range(len(coords)):
         if scratch.insertion_ok(coords[i], nondeg[i], placed):
@@ -266,6 +271,112 @@ def _greedy_seed(
     for i in reversed(chosen):
         scratch.unplace(*coords[i])
     return tuple(chosen)
+
+
+def _solve(
+    base: Family,
+    candidates: list[TwoEdge],
+    mode: Mode,
+    symmetry: bool,
+    order: str,
+    canonical_certificate: bool,
+    node_limit: int | None,
+    time_limit: float | None,
+    start: float,
+) -> ExactResult:
+    """Maximum number of ``candidates`` that extend the verified ``base``.
+
+    The one branch-and-bound core behind both public solvers.  Symmetry
+    is sound only when the base is empty and the candidate list is closed
+    under vertex relabeling.  Budgets count from ``start``.
+    """
+    q = base.q
+    deadline = None if time_limit is None else start + time_limit
+    scratch = ScratchBoard(q)
+    base_placed = [scratch.placed_entry(g) for g in base.edges]
+    for entry in base_placed:
+        scratch.place(*entry[:4])
+    # a candidate that fails against the base alone never fits (hereditarity);
+    # on an empty base this is the static prune
+    usable = [
+        e
+        for e in candidates
+        if scratch.insertion_ok(scratch.coords(e), classify(e) == NONDEGENERATE, base_placed)
+    ]
+    pruned_static = len(candidates) - len(usable)
+
+    conflicts_usable = pairwise_conflicts(q, usable, base, _deadline=deadline)
+    perm = list(range(len(usable)))
+    if order == "conflicts":
+        perm.sort(key=lambda k: -conflicts_usable[k].bit_count())
+    edges = [usable[k] for k in perm]
+    pos_of = {k: p for p, k in enumerate(perm)}
+    conflicts = [0] * len(edges)
+    for p, k in enumerate(perm):
+        mask = conflicts_usable[k]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            conflicts[p] |= 1 << pos_of[j]
+
+    orbit_count: int | None = None
+    level0_mask: int | None = None
+    if symmetry and edges:
+        orbits = candidate_orbits(q, usable)
+        orbit_count = len(orbits)
+        level0_mask = 0
+        for orbit in orbits:
+            level0_mask |= 1 << min(pos_of[k] for k in orbit)
+
+    coords = [scratch.coords(e) for e in edges]
+    nondeg = [classify(e) == NONDEGENERATE for e in edges]
+    search = _Search(
+        scratch,
+        edges,
+        coords,
+        nondeg,
+        conflicts,
+        base_placed,
+        node_limit,
+        deadline,
+        canonical_certificate,
+        level0_mask,
+    )
+    seed = _greedy_seed(scratch, coords, nondeg, base_placed)
+    search.seed(seed)
+    search.events.append(
+        {
+            "event": "bound",
+            "where": "root",
+            "value": upper_bound(0, len(edges), scratch.free_cells),
+            "incumbent": len(seed),
+        }
+    )
+    search.run((1 << len(edges)) - 1 if edges else 0)
+
+    certificate = Family.from_edges(
+        q, list(base.edges) + [edges[k] for k in search.best_set]
+    )
+    if not verify(certificate).ok:  # pragma: no cover - internal invariant
+        raise RuntimeError("exact solver produced an unverifiable certificate")
+    status = OPTIMAL if search.exhausted else INCUMBENT
+    search.events.append(
+        {"event": "done", "status": status, "size": search.best_size, "nodes": search.nodes}
+    )
+    return ExactResult(
+        status=status,
+        q=q,
+        mode=mode,
+        size=search.best_size,
+        certificate=certificate,
+        z_value=q * (q + 1) + len(certificate),
+        nodes=search.nodes,
+        elapsed=time.monotonic() - start,
+        pruned_static=pruned_static,
+        symmetry=symmetry,
+        orbit_count=orbit_count,
+        events=tuple(search.events),
+    )
 
 
 def solve_exact(
@@ -281,99 +392,26 @@ def solve_exact(
 
     Returns status "optimal" only when the search tree was exhausted;
     exceeding the node or time budget downgrades the result to
-    "incumbent".  The certificate always passes the full verifier, and the
-    optimal size is independent of candidate order and of the symmetry
-    flag.
+    "incumbent".  The time budget covers the whole call, preprocessing
+    included (orbit enumeration under ``symmetry`` excepted).  The
+    certificate always passes the full verifier, and the optimal size is
+    independent of candidate order and of the symmetry flag.
     """
+    start = time.monotonic()
     check_q(q)
     check_mode(mode)
     if order not in ("conflicts", "canonical"):
         raise ValueError(f"order must be 'conflicts' or 'canonical', got {order!r}")
-
-    start = time.monotonic()
-    all_candidates = candidate_family(q, mode)
-    flags = static_prune_flags(q, all_candidates)
-    feasible = [e for e, bad in zip(all_candidates, flags) if not bad]
-    pruned_static = len(all_candidates) - len(feasible)
-
-    conflicts_canonical = pairwise_conflicts(q, feasible)
-    if order == "conflicts":
-        perm = sorted(
-            range(len(feasible)),
-            key=lambda k: (-conflicts_canonical[k].bit_count(), k),
-        )
-    else:
-        perm = list(range(len(feasible)))
-    edges = [feasible[k] for k in perm]
-    pos_of_canonical = {k: p for p, k in enumerate(perm)}
-    conflicts = [0] * len(edges)
-    for p, k in enumerate(perm):
-        mask = conflicts_canonical[k]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            conflicts[p] |= 1 << pos_of_canonical[j]
-
-    orbit_count: int | None = None
-    level0_mask: int | None = None
-    if symmetry and edges:
-        orbits = candidate_orbits(q, feasible)
-        orbit_count = len(orbits)
-        level0_mask = 0
-        for orbit in orbits:
-            rep = min(pos_of_canonical[k] for k in orbit)
-            level0_mask |= 1 << rep
-
-    scratch = ScratchBoard(q)
-    coords = [scratch.coords(e) for e in edges]
-    nondeg = [classify(e) == NONDEGENERATE for e in edges]
-
-    search = _Search(
-        scratch,
-        edges,
-        coords,
-        nondeg,
-        conflicts,
-        [],
-        node_limit,
-        time_limit,
-        canonical_certificate,
-        level0_mask,
-    )
-    seed = _greedy_seed(scratch, coords, nondeg, [])
-    search.seed(seed)
-    search.events.append(
-        {
-            "event": "bound",
-            "where": "root",
-            "value": upper_bound(0, len(edges), scratch.free_cells),
-            "incumbent": len(seed),
-        }
-    )
-    search.run((1 << len(edges)) - 1 if edges else 0)
-
-    certificate = Family.from_edges(q, (edges[k] for k in search.best_set))
-    check = verify(certificate)
-    if not check.ok:  # pragma: no cover - internal invariant
-        raise RuntimeError("exact solver produced an unverifiable certificate")
-    status = OPTIMAL if search.exhausted else INCUMBENT
-    elapsed = time.monotonic() - start
-    search.events.append(
-        {"event": "done", "status": status, "size": search.best_size, "nodes": search.nodes}
-    )
-    return ExactResult(
-        status=status,
-        q=q,
+    return _solve(
+        Family.from_edges(q, []),
+        candidate_family(q, mode),
         mode=mode,
-        size=search.best_size,
-        certificate=certificate,
-        z_value=q * (q + 1) + search.best_size,
-        nodes=search.nodes,
-        elapsed=elapsed,
-        pruned_static=pruned_static,
         symmetry=symmetry,
-        orbit_count=orbit_count,
-        events=tuple(search.events),
+        order=order,
+        canonical_certificate=canonical_certificate,
+        node_limit=node_limit,
+        time_limit=time_limit,
+        start=start,
     )
 
 
@@ -387,76 +425,19 @@ def solve_extension(
 
     Only ``candidates`` may be added; the base is never removed.  The
     certificate is the combined family, ``size`` counts the extra edges.
+    Budgets behave as in ``solve_exact``.
     """
-    q = base.q
+    start = time.monotonic()
     if not verify(base).ok:
         raise ValueError("base family fails verification")
-    start = time.monotonic()
-
-    scratch = ScratchBoard(q)
-    frozen_placed = []
-    for g in base.edges:
-        c = scratch.coords(g)
-        scratch.place(*c)
-        frozen_placed.append((*c, classify(g) == NONDEGENERATE))
-
-    usable = []
-    for e in candidates:
-        c = scratch.coords(e)
-        if scratch.insertion_ok(c, classify(e) == NONDEGENERATE, frozen_placed):
-            usable.append(e)
-    pruned_static = len(candidates) - len(usable)
-
-    conflicts_canonical = pairwise_conflicts(q, usable, base=base)
-    perm = sorted(
-        range(len(usable)), key=lambda k: (-conflicts_canonical[k].bit_count(), k)
-    )
-    edges = [usable[k] for k in perm]
-    pos_of = {k: p for p, k in enumerate(perm)}
-    conflicts = [0] * len(edges)
-    for p, k in enumerate(perm):
-        mask = conflicts_canonical[k]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            conflicts[p] |= 1 << pos_of[j]
-
-    coords = [scratch.coords(e) for e in edges]
-    nondeg = [classify(e) == NONDEGENERATE for e in edges]
-    search = _Search(
-        scratch,
-        edges,
-        coords,
-        nondeg,
-        conflicts,
-        frozen_placed,
-        node_limit,
-        time_limit,
-        False,
-        None,
-    )
-    seed = _greedy_seed(scratch, coords, nondeg, frozen_placed)
-    search.seed(seed)
-    search.run((1 << len(edges)) - 1 if edges else 0)
-
-    combined = Family.from_edges(
-        q, list(base.edges) + [edges[k] for k in search.best_set]
-    )
-    check = verify(combined)
-    if not check.ok:  # pragma: no cover - internal invariant
-        raise RuntimeError("extension solver produced an unverifiable certificate")
-    status = OPTIMAL if search.exhausted else INCUMBENT
-    return ExactResult(
-        status=status,
-        q=q,
+    return _solve(
+        base,
+        candidates,
         mode="full",
-        size=search.best_size,
-        certificate=combined,
-        z_value=q * (q + 1) + len(combined),
-        nodes=search.nodes,
-        elapsed=time.monotonic() - start,
-        pruned_static=pruned_static,
         symmetry=False,
-        orbit_count=None,
-        events=tuple(search.events),
+        order="conflicts",
+        canonical_certificate=False,
+        node_limit=node_limit,
+        time_limit=time_limit,
+        start=start,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .board import TwoEdge
+from .board import TwoEdge, candidate_family
 from .families import Family
 from .admissibility import verify
 from .exact import solve_extension
@@ -111,8 +111,6 @@ def lift_extend(
     if achieved < target and oracle_on_shortfall:
         if progress is not None:
             progress(f"search reached {achieved} < target {target}; running exact sub-solve")
-        from .board import candidate_family
-
         pool = new_vertex_candidates(base.q, candidate_family(base.q, "full"))
         sub = solve_extension(base, pool, node_limit=oracle_node_limit)
         oracle = sub.status

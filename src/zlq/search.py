@@ -101,16 +101,16 @@ class _State:
         self.placed: list[tuple[int, int, int, int, bool]] = []
         if base is not None:
             for e in base.edges:
-                coords = self.scratch.coords(e)
-                self.scratch.place(*coords)
-                self.edges.append(e)
-                self.placed.append((*coords, classify(e) == NONDEGENERATE))
+                self.put(e, self.scratch.placed_entry(e))
+
+    def put(self, e: TwoEdge, entry: tuple[int, int, int, int, bool]) -> None:
+        self.scratch.place(*entry[:4])
+        self.edges.append(e)
+        self.placed.append(entry)
 
     def try_add(self, e: TwoEdge, coords: tuple[int, int, int, int], nondeg: bool) -> bool:
         if self.scratch.insertion_ok(coords, nondeg, self.placed):
-            self.scratch.place(*coords)
-            self.edges.append(e)
-            self.placed.append((*coords, nondeg))
+            self.put(e, (*coords, nondeg))
             return True
         return False
 
@@ -207,10 +207,7 @@ def _improve(
         for e in added:
             state.remove(e)
         for e in removals:
-            coords = state.scratch.coords(e)
-            state.scratch.place(*coords)
-            state.edges.append(e)
-            state.placed.append((*coords, classify(e) == NONDEGENERATE))
+            state.put(e, state.scratch.placed_entry(e))
         return False
 
     # repair pass with nothing deleted: maximality is order-relative, so a

@@ -219,8 +219,10 @@ def test_static_prune_flags():
     flags3 = static_prune_flags(3, candidate_family(3, "full"))
     assert sum(flags3) == 36
     # flagged candidates are exactly the singleton failures
-    for e, bad in zip(candidate_family(3, "full"), flags3):
-        assert bad == (not verify(Family.from_edges(3, [e])).ok)
+    for q in (3, 4):
+        cands = candidate_family(q, "full")
+        for e, bad in zip(cands, static_prune_flags(q, cands)):
+            assert bad == (not verify(Family.from_edges(q, [e])).ok)
 
 
 def test_scratch_board_roundtrip():

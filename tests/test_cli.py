@@ -51,9 +51,10 @@ def test_verify_missing_file_exits_2(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], ["solve-exact", "--q", "3", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_stats_q5(capsys):
@@ -239,3 +240,5 @@ def test_repro_skipping_q4(capsys):
     summary = lines[-1]
     assert summary["failed"] == 0
     assert all(entry.get("ok", True) for entry in lines[:-1])
+    names = {entry["check"] for entry in lines[:-1]}
+    assert {f"family-q{q}" for q in (3, 4, 5, 6, 7)} <= names

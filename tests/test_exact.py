@@ -128,6 +128,29 @@ def test_extension_solver_q3_to_q4():
     assert len(result.certificate) == 6
     assert verify(result.certificate).ok
     assert set(base.edges) <= set(result.certificate.edges)
+    assert result.z_value == 20 + 6
+    kinds = [e["event"] for e in result.events]
+    assert kinds[0] == "bound" and kinds[-1] == "done"
+
+
+@pytest.mark.parametrize("q,node_limit", [(3, None), (4, 20_000)])
+def test_extension_over_empty_base_is_solve_exact(q, node_limit):
+    exact = solve_exact(q, node_limit=node_limit)
+    ext = solve_extension(Family.from_edges(q, []), candidate_family(q), node_limit=node_limit)
+    assert (ext.status, ext.size, ext.nodes, ext.pruned_static) == (
+        exact.status, exact.size, exact.nodes, exact.pruned_static
+    )
+    assert ext.certificate == exact.certificate
+    assert ext.z_value == exact.z_value
+
+
+def test_time_limit_covers_preprocessing():
+    # the q=6 conflict graph alone takes far longer than the budget
+    start = time.monotonic()
+    result = solve_exact(6, time_limit=1.0)
+    assert time.monotonic() - start < 5.0
+    assert result.status == "incumbent"
+    assert verify(result.certificate).ok and result.size >= 1
 
 
 def test_extension_solver_rejects_bad_base():
