@@ -26,8 +26,9 @@ from .admissibility import (
     check_C3,
     incremental_check,
     verify,
+    witness_set,
 )
-from .ilp import IlpModel, build_model, export_lp, import_solution, witness_set
+from .ilp import IlpModel, build_model, export_lp, import_solution
 from .exact import ExactResult, pairwise_conflicts, solve_exact, upper_bound
 from .search import SearchConfig, SearchResult, greedy_fill, local_improve, run_search
 from .lifting import LiftReport, embed, lift_extend

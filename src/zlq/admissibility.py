@@ -11,15 +11,18 @@ Three rules govern a family over the fixed 1-edge background:
   occupied as well.
 
 "Occupied" always includes the 1-edge cells, so a rule can fire against the
-background alone.  For a nondegenerate 2-edge the five pattern cells are
-automatically pairwise distinct once the witness restrictions hold (this is
-asserted, never re-filtered); degenerate 2-edges may have coincident
-pattern cells and the check treats the pattern as a multiset.
+background alone.  Each rule instance is defined once, by ``corner_cells``,
+``witness_set`` and ``pattern_cells``; ``verify`` (through ``check_C2`` and
+``check_C3``) and the ILP rows in ``ilp`` derive from these functions.  For
+a nondegenerate 2-edge the five pattern cells are automatically pairwise
+distinct (``pattern_cells`` asserts this, nothing re-filters); degenerate
+2-edges may have coincident pattern cells, and the pattern is a multiset.
 
-Occupancy is tracked in two redundant bitset views: per-row column masks
-and per-column row masks.  The five-cell scan then reduces to three mask
-intersections, which keeps full verification cheap even inside search
-loops.
+The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path used by
+search and the exact solver.  It tracks occupancy in two redundant bitset
+views, per-row column masks and per-column row masks, so the five-cell scan
+reduces to three mask intersections; tests compare it exhaustively with the
+definition.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from .board import (
     NONDEGENERATE,
     Row,
     TwoEdge,
+    check_q,
     classify,
     row_index,
     rows,
+    validate_cell,
 )
 from .families import Family
 
@@ -46,6 +51,42 @@ ONE_EDGE = -1
 def _format_cell(cell: Cell) -> str:
     i, j, c = cell
     return f"({i},{j}|{c})"
+
+
+def corner_cells(edge: TwoEdge) -> tuple[Cell, Cell]:
+    """The opposite corners (r1, c2), (r2, c1) of the opposite-corner rule."""
+    (i1, j1, c1), (i2, j2, c2) = edge
+    return (i1, j1, c2), (i2, j2, c1)
+
+
+def witness_set(edge: TwoEdge, q: int) -> list[tuple[Row, int]]:
+    """Witness positions (x, y): x outside the edge's rows, y outside its columns.
+
+    Rows x come in ``rows(q)`` order and columns y ascending.  Degenerate
+    edges keep witnesses whose patterns contain coincident cells.
+    """
+    check_q(q)
+    (i1, j1, c1), (i2, j2, c2) = edge
+    validate_cell(q, (i1, j1, c1))
+    validate_cell(q, (i2, j2, c2))
+    r1, r2 = (i1, j1), (i2, j2)
+    return [
+        (x, y)
+        for x in rows(q)
+        if x != r1 and x != r2
+        for y in range(q + 1)
+        if y != c1 and y != c2
+    ]
+
+
+def pattern_cells(edge: TwoEdge, witness: tuple[Row, int]) -> tuple[Cell, ...]:
+    """The five cells (x,y), (x,c1), (x,c2), (r1,y), (r2,y) of the five-cell rule."""
+    (i1, j1, c1), (i2, j2, c2) = edge
+    (xi, xj), y = witness
+    cells = ((xi, xj, y), (xi, xj, c1), (xi, xj, c2), (i1, j1, y), (i2, j2, y))
+    if classify(edge) == NONDEGENERATE:
+        assert len(set(cells)) == 5, "nondegenerate pattern cells must be distinct"
+    return cells
 
 
 @dataclass(frozen=True)
@@ -154,25 +195,6 @@ class ScratchBoard:
             if col_masks[x] & base:
                 return True
         return False
-
-    def c3_witnesses(self, r1: int, c1: int, r2: int, c2: int) -> list[tuple[int, int]]:
-        """All (row index, column) witnesses, in scan order."""
-        col_masks = self.col_masks
-        colbits = (1 << c1) | (1 << c2)
-        base = col_masks[r1] & col_masks[r2] & ~colbits
-        if not base:
-            return []
-        out = []
-        xs = self.row_masks[c1] & self.row_masks[c2] & ~((1 << r1) | (1 << r2))
-        while xs:
-            x = (xs & -xs).bit_length() - 1
-            xs &= xs - 1
-            ys = col_masks[x] & base
-            while ys:
-                y = (ys & -ys).bit_length() - 1
-                ys &= ys - 1
-                out.append((x, y))
-        return out
 
     def insertion_ok(
         self,
@@ -290,6 +312,13 @@ def _edge_index(board: Board, edge: TwoEdge) -> int:
         return -1  # proposed, not part of the board's family
 
 
+def _all_occupied(board: Board, cells: tuple[Cell, ...]) -> bool:
+    for cell in cells:
+        if board.owner_of(cell) == FREE:
+            return False
+    return True
+
+
 def check_C2(board: Board, edge: TwoEdge) -> Violation | None:
     """Opposite-corner violation for a nondegenerate edge, else None.
 
@@ -299,32 +328,20 @@ def check_C2(board: Board, edge: TwoEdge) -> Violation | None:
     """
     if classify(edge) != NONDEGENERATE:
         return None
-    scratch = _scratch_from_board(board)
-    r1, c1, r2, c2 = scratch.coords(edge)
-    if scratch.c2_hit(r1, c1, r2, c2):
-        (i1, j1), (i2, j2) = scratch.rows[r1], scratch.rows[r2]
-        return Violation(
-            kind="C2",
-            edges=(_edge_index(board, edge),),
-            cells=((i1, j1, c2), (i2, j2, c1)),
-        )
+    corners = corner_cells(edge)
+    if _all_occupied(board, corners):
+        return Violation(kind="C2", edges=(_edge_index(board, edge),), cells=corners)
     return None
 
 
 def check_C3(board: Board, edge: TwoEdge) -> list[Violation]:
     """All five-cell violations for this edge, one per witness, scan order."""
-    scratch = _scratch_from_board(board)
-    r1, c1, r2, c2 = scratch.coords(edge)
-    nondeg = classify(edge) == NONDEGENERATE
     eidx = _edge_index(board, edge)
     out = []
-    for x, y in scratch.c3_witnesses(r1, c1, r2, c2):
-        xi, xj = scratch.rows[x]
-        (i1, j1), (i2, j2) = scratch.rows[r1], scratch.rows[r2]
-        cells = ((xi, xj, y), (xi, xj, c1), (xi, xj, c2), (i1, j1, y), (i2, j2, y))
-        if nondeg:
-            assert len(set(cells)) == 5, "nondegenerate pattern cells must be distinct"
-        out.append(Violation(kind="C3", edges=(eidx,), cells=cells, witness=((xi, xj), y)))
+    for witness in witness_set(edge, board.q):
+        cells = pattern_cells(edge, witness)
+        if _all_occupied(board, cells):
+            out.append(Violation(kind="C3", edges=(eidx,), cells=cells, witness=witness))
     return out
 
 

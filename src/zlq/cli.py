@@ -73,6 +73,16 @@ class _CliError(Exception):
         self.kind = kind
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a JSON usage error (exit code 2).
+
+    Subparsers inherit this class; ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message: str):
+        raise _CliError(2, "usage", message)
+
+
 def _default_threads() -> int:
     raw = os.environ.get("ZLQ_THREADS", "1")
     try:
@@ -225,12 +235,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    qs = [args.q] if args.q else list(REFERENCE_QS)
+    qs = [args.q] if args.q is not None else list(REFERENCE_QS)
     for q in qs:
         if q not in REFERENCE_QS:
             raise _CliError(2, "usage", f"no bundled family for q={q}")
     if args.emit:
-        if not args.q:
+        if args.q is None:
             raise _CliError(2, "usage", "--emit requires --q")
         print(serialize_family(reference_family(args.q)), end="")
         return 0
@@ -373,7 +383,7 @@ def _cmd_repro(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="zlq",
         description="Exact and heuristic computations of limited augmented "
         "Zarankiewicz numbers on incidence boards of complete graphs.",
@@ -475,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         _stderr_json(exc.kind, str(exc))

@@ -8,13 +8,16 @@ cell.  Rows:
 * ``c2_<k>``  (nondegenerate): x_k + occupancy of both opposite corners <= 2
 * ``c3_<k>_<w>`` (per witness): x_k + the five pattern occupancies <= 5
 
-Occupancy of a 1-edge cell is the constant 1 and is moved to the
-right-hand side at build time; coincident pattern cells of degenerate
-candidates keep their multiplicity (coefficient 2), so every c3 row
-carries exactly five occupancy terms counted with multiplicity.  A row
-whose right-hand side collapses to ``x_k <= 0`` marks a candidate that can
-never be selected; with static pruning enabled such candidates are fixed
-to zero instead of emitting the row.
+The cells of each c2 and c3 row come from the rule definitions in
+``admissibility`` (``corner_cells``, ``witness_set``, ``pattern_cells``),
+which the verifier uses as well.  Occupancy of a 1-edge cell is the
+constant 1 and is moved to the right-hand side at build time; coincident
+pattern cells of degenerate candidates keep their multiplicity
+(coefficient 2), so every c3 row carries exactly five occupancy terms
+counted with multiplicity.  A row whose right-hand side collapses to
+``x_k <= 0`` marks a candidate that can never be selected; with static
+pruning enabled such candidates are fixed to zero instead of emitting the
+row.
 
 The selection objective is stored in minimization form (coefficient -1 per
 x variable, so the optimum value is the negated family size); the exporter
@@ -26,20 +29,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .board import (
+    Cell,
     Mode,
     NONDEGENERATE,
-    Row,
     TwoEdge,
     check_mode,
     check_q,
     classify,
     available_cells,
     candidate_family,
-    rows,
-    validate_cell,
 )
 from .families import Family
-from .admissibility import VerifyResult, verify
+from .admissibility import (
+    VerifyResult,
+    corner_cells,
+    pattern_cells,
+    verify,
+    witness_set,  # re-exported: part of this module's public surface
+)
 
 
 class SolutionFormatError(ValueError):
@@ -84,33 +91,6 @@ class IlpModel:
         return out
 
 
-def witness_set(edge: TwoEdge, q: int) -> list[tuple[Row, int]]:
-    """Witness positions (x, y): x outside the edge's rows, y outside its columns.
-
-    For a nondegenerate edge the five pattern cells are automatically
-    pairwise distinct (asserted); degenerate edges keep witnesses whose
-    patterns contain coincident cells.
-    """
-    check_q(q)
-    (i1, j1, c1), (i2, j2, c2) = edge
-    validate_cell(q, (i1, j1, c1))
-    validate_cell(q, (i2, j2, c2))
-    r1, r2 = (i1, j1), (i2, j2)
-    nondeg = classify(edge) == NONDEGENERATE
-    out = []
-    for x in rows(q):
-        if x == r1 or x == r2:
-            continue
-        for y in range(q + 1):
-            if y == c1 or y == c2:
-                continue
-            if nondeg:
-                pattern = ((x, y), (x, c1), (x, c2), (r1, y), (r2, y))
-                assert len(set(pattern)) == 5
-            out.append((x, y))
-    return out
-
-
 def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpModel:
     """Construct the model for the candidate family of the q-board."""
     check_q(q)
@@ -122,9 +102,6 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
 
     var_names = [f"x_{k}" for k in range(num_x)]
     var_names += [f"o_{i}_{j}_{c}" for (i, j, c) in cells]
-
-    def o_var(cell: tuple[int, int, int]) -> int:
-        return num_x + cell_index[cell]
 
     by_cell: dict[int, list[int]] = {idx: [] for idx in range(len(cells))}
     for k, (h1, h2) in enumerate(cands):
@@ -140,65 +117,37 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
             LinearRow(name=f"s_{idx}", terms=tuple(terms), sense="=", rhs=0, tag="S")
         )
 
-    def occupancy_term(i: int, j: int, c: int) -> int | None:
-        """o-variable index for an available cell, None for the constant 1."""
-        if c == i or c == j:
-            return None
-        return o_var((i, j, c))
+    def add_rule_row(k: int, name: str, tag: str, rule_cells: tuple[Cell, ...]) -> None:
+        """x_k + occupancy of the rule's cells <= their count.
 
-    for k, edge in enumerate(cands):
-        if classify(edge) != NONDEGENERATE:
-            continue
-        (i1, j1, c1), (i2, j2, c2) = edge
+        A cell without an o-variable is a 1-edge cell, whose occupancy is
+        the constant 1 and moves to the right-hand side.
+        """
         const = 0
-        o_terms = []
-        for i, j, c in ((i1, j1, c2), (i2, j2, c1)):
-            var = occupancy_term(i, j, c)
-            if var is None:
+        mult: dict[int, int] = {}
+        for cell in rule_cells:
+            idx = cell_index.get(cell)
+            if idx is None:
                 const += 1
             else:
-                o_terms.append(var)
-        rhs = 2 - const
-        if rhs == 0:
-            # both opposite corners are 1-edge cells: x_k can never be 1
-            if prune_static:
-                fixed_zero.add(k)
-                continue
-        terms = [(1, k)] + [(1, v) for v in sorted(o_terms)]
+                var = num_x + idx
+                mult[var] = mult.get(var, 0) + 1
+        rhs = len(rule_cells) - const
+        if rhs == 0 and prune_static:
+            # every cell is a 1-edge cell: x_k can never be 1
+            fixed_zero.add(k)
+            return
+        terms = [(1, k)] + [(mult[v], v) for v in sorted(mult)]
         model_rows.append(
-            LinearRow(name=f"c2_{k}", terms=tuple(terms), sense="<=", rhs=rhs, tag="C2")
+            LinearRow(name=name, terms=tuple(terms), sense="<=", rhs=rhs, tag=tag)
         )
 
     for k, edge in enumerate(cands):
-        (i1, j1, c1), (i2, j2, c2) = edge
-        r1, r2 = (i1, j1), (i2, j2)
-        for w_idx, (x, y) in enumerate(witness_set(edge, q)):
-            pattern = ((x[0], x[1], y), (x[0], x[1], c1), (x[0], x[1], c2),
-                       (r1[0], r1[1], y), (r2[0], r2[1], y))
-            const = 0
-            mult: dict[int, int] = {}
-            for i, j, c in pattern:
-                var = occupancy_term(i, j, c)
-                if var is None:
-                    const += 1
-                else:
-                    mult[var] = mult.get(var, 0) + 1
-            rhs = 5 - const
-            if rhs == 0:
-                # whole pattern already occupied by 1-edges
-                if prune_static:
-                    fixed_zero.add(k)
-                    continue
-            terms = [(1, k)] + [(mult[v], v) for v in sorted(mult)]
-            model_rows.append(
-                LinearRow(
-                    name=f"c3_{k}_{w_idx}",
-                    terms=tuple(terms),
-                    sense="<=",
-                    rhs=rhs,
-                    tag="C3",
-                )
-            )
+        if classify(edge) == NONDEGENERATE:
+            add_rule_row(k, f"c2_{k}", "C2", corner_cells(edge))
+    for k, edge in enumerate(cands):
+        for w_idx, witness in enumerate(witness_set(edge, q)):
+            add_rule_row(k, f"c3_{k}_{w_idx}", "C3", pattern_cells(edge, witness))
 
     objective = tuple((-1, k) for k in range(num_x))
     return IlpModel(

@@ -299,16 +299,8 @@ def run_search(
             verified=verify(best).ok,
         )
 
-    if config.time_limit == 0 and config.warm_start is None:
-        return SearchResult(
-            config=config,
-            best=Family.from_edges(config.q, []),
-            best_size=0,
-            bound=config.q * (config.q + 1),
-            restart_sizes=(),
-            best_restart=-1,
-            verified=True,
-        )
+    if config.time_limit == 0:
+        return empty_result()
 
     deadline = None
     if config.time_limit is not None:

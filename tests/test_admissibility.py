@@ -13,7 +13,14 @@ from zlq import (
     make_edge,
     verify,
 )
-from zlq.admissibility import ONE_EDGE, ScratchBoard, static_prune_flags
+from zlq.admissibility import (
+    ONE_EDGE,
+    ScratchBoard,
+    corner_cells,
+    pattern_cells,
+    static_prune_flags,
+    witness_set,
+)
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 
@@ -233,3 +240,67 @@ def test_scratch_board_roundtrip():
     assert s.occupied(coords[0], coords[1])
     s.unplace(*coords)
     assert (list(s.col_masks), list(s.row_masks), s.free_cells) == before
+
+
+def _rule_hits(q, edges, edge):
+    """(opposite-corner hit, five-cell hit) for edge, straight from the rule definition."""
+    used = {half for e in edges for half in e}
+
+    def occupied(cell):
+        i, j, c = cell
+        return c in (i, j) or cell in used
+
+    c2 = all(map(occupied, corner_cells(edge)))
+    c3 = any(all(map(occupied, pattern_cells(edge, w))) for w in witness_set(edge, q))
+    return c2, c3
+
+
+def _assert_kernel_matches_definition(q, family, candidates):
+    """c2_hit/c3_hit agree with the definition, before and after placing each candidate."""
+    scratch = ScratchBoard(q)
+    for g in family.edges:
+        scratch.place(*scratch.coords(g))
+    for e in candidates:
+        coords = scratch.coords(e)
+        kernel = (scratch.c2_hit(*coords), scratch.c3_hit(*coords))
+        assert kernel == _rule_hits(q, family.edges, e), e
+        if e not in family.edges and scratch.cells_free(*coords):
+            scratch.place(*coords)
+            kernel = (scratch.c2_hit(*coords), scratch.c3_hit(*coords))
+            scratch.unplace(*coords)
+            assert kernel == _rule_hits(q, family.edges + (e,), e), e
+
+
+def test_kernel_hits_match_rule_definition_exhaustive_small():
+    rng = random.Random(59)
+    for q in (3, 4):
+        cands = candidate_family(q, "full")
+        _assert_kernel_matches_definition(q, Family.from_edges(q, []), cands)
+        _assert_kernel_matches_definition(q, reference_family(q), cands)
+        for _ in range(6):
+            _assert_kernel_matches_definition(q, random_subfamily(rng, reference_family(q)), cands)
+
+
+def test_kernel_hits_match_rule_definition_random_large():
+    rng = random.Random(61)
+    for q in (5, 6, 7):
+        cands = candidate_family(q, "full")
+        for _ in range(3):
+            family = random_subfamily(rng, reference_family(q))
+            _assert_kernel_matches_definition(q, family, rng.sample(cands, 300))
+
+
+def test_pattern_cells_distinct_for_nondegenerate_edges():
+    for q in (2, 3, 4, 5):
+        for e in candidate_family(q, "nondeg"):
+            for w in witness_set(e, q):
+                assert len(set(pattern_cells(e, w))) == 5, (e, w)
+
+
+def test_rule_cells_examples():
+    e = make_edge((0, 1, 2), (2, 3, 0), q=3)
+    assert corner_cells(e) == ((0, 1, 0), (2, 3, 2))
+    assert pattern_cells(e, ((0, 2), 1)) == ((0, 2, 1), (0, 2, 2), (0, 2, 0), (0, 1, 1), (2, 3, 1))
+    # a row-degenerate edge keeps its coincident (r, y) cells twice
+    d = make_edge((0, 1, 2), (0, 1, 3), q=3)
+    assert pattern_cells(d, ((2, 3), 0)) == ((2, 3, 0), (2, 3, 2), (2, 3, 3), (0, 1, 0), (0, 1, 0))

@@ -51,10 +51,24 @@ def test_verify_missing_file_exits_2(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    for argv in (["no-such-command"], ["solve-exact", "--q", "3", "--threads", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    for argv, detail in (
+        (["no-such-command"], "invalid choice"),
+        (["solve-exact", "--q", "abc"], "invalid int value"),
+        (["solve-exact", "--q", "3", "--threads", "2"], "unrecognized arguments"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert detail in payload["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-exact", "--help"])
+    assert exc.value.code == 0
+    assert "--node-limit" in capsys.readouterr().out
 
 
 def test_stats_q5(capsys):
@@ -203,6 +217,11 @@ def test_families_listing_and_emit(capsys):
 
     code, _, err = run_cli(capsys, "families", "--q", "9")
     assert code == 2
+
+    for argv in (["--q", "0"], ["--q", "0", "--emit"]):
+        code, out, err = run_cli(capsys, "families", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "usage", "message": "no bundled family for q=0"}
 
 
 def test_ratios(capsys):

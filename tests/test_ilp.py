@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,17 +24,39 @@ def test_witness_counts():
 
 
 def test_witness_set_matches_enumeration():
-    for e in candidate_family(3, "full")[::7]:
-        got = witness_set(e, 3)
-        (i1, j1, c1), (i2, j2, c2) = e
-        expected = [
-            ((i, j), y)
-            for (i, j) in [(a, b) for a in range(4) for b in range(a + 1, 4)]
-            if (i, j) not in ((i1, j1), (i2, j2))
-            for y in range(4)
-            if y not in (c1, c2)
-        ]
-        assert got == expected
+    for q in (3, 4):
+        all_rows = [(a, b) for a in range(q + 1) for b in range(a + 1, q + 1)]
+        for e in candidate_family(q, "full"):
+            (i1, j1, c1), (i2, j2, c2) = e
+            expected = [
+                (x, y)
+                for x in all_rows
+                if x not in ((i1, j1), (i2, j2))
+                for y in range(q + 1)
+                if y not in (c1, c2)
+            ]
+            assert witness_set(e, q) == expected
+
+
+def test_witness_set_is_shared_with_admissibility():
+    from zlq import admissibility, ilp
+
+    assert ilp.witness_set is admissibility.witness_set is witness_set
+
+
+@pytest.mark.parametrize(
+    "q, mode, prune, digest",
+    [
+        (3, "full", False, "f2ddce0411ab53d9cb56ba6feb5d9ee32a4b11f8d12d40ee69678103b158b4f0"),
+        (3, "full", True, "c830e3f2a3f066b079b31489125d61edf00e52c1bded2d9465eeb0c829485c04"),
+        (3, "nondeg", True, "33ff8e73f39432d8e929323380d373245c5071177984d50aee6be6ad21a5a9e1"),
+        (4, "full", False, "e47bd2ec475a5111dd52f55c90bbf8e6401bd4e1411ce219037990877e3de732"),
+        (4, "full", True, "f251cb0ccee4b45ab54551222b26eea36db8ece5eed89bd3aeacdb76324559b5"),
+    ],
+)
+def test_export_lp_pinned_bytes(q, mode, prune, digest):
+    text = export_lp(build_model(q, mode, prune_static=prune))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

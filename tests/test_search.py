@@ -165,6 +165,14 @@ def test_run_search_zero_time_limit_returns_empty():
     assert result.verified
     assert result.restart_sizes == ()
 
+    warm = reference_family(4)
+    result = run_search(SearchConfig(q=4, restarts=8, time_limit=0, warm_start=warm))
+    assert result.best == warm
+    assert result.best_size == len(warm)
+    assert result.verified
+    assert result.restart_sizes == ()
+    assert result.best_restart == -1
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
