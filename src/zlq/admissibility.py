@@ -22,12 +22,17 @@ The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path used by
 search and the exact solver.  It tracks occupancy in two redundant bitset
 views, per-row column masks and per-column row masks, so the five-cell scan
 reduces to three mask intersections; tests compare it exhaustively with the
-definition.
+definition.  A candidate's own rules never involve its own two cells, so
+they are checked before it is placed, and only the re-check of the edges
+already on the board needs the new cells.  ``ScratchBoard.first_fit`` is
+the batched form of the kernel: greedy first-fit over a candidate order,
+shared by the search fills and the exact solver's seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .board import (
     BoardError,
@@ -207,25 +212,49 @@ class ScratchBoard:
         ``placed`` holds the coords and nondegeneracy flags of the edges
         already on the board, all of which are re-examined because the two
         new cells may complete an opposite-corner or five-cell pattern for
-        them.  The board is left unchanged.
+        them.  The edge's own rules are checked first, without placing it:
+        its corners are never its own cells, and ``c3_hit`` masks out its
+        own rows and columns.  The board is left unchanged.
         """
         r1, c1, r2, c2 = coords
         if not self.cells_free(r1, c1, r2, c2):
             return False
+        if (nondeg and self.c2_hit(r1, c1, r2, c2)) or self.c3_hit(r1, c1, r2, c2):
+            return False
+        if not placed:
+            return True
         self.place(r1, c1, r2, c2)
         try:
-            if nondeg and self.c2_hit(r1, c1, r2, c2):
-                return False
-            if self.c3_hit(r1, c1, r2, c2):
-                return False
             for g1, gc1, g2, gc2, gnondeg in placed:
-                if gnondeg and self.c2_hit(g1, gc1, g2, gc2):
-                    return False
-                if self.c3_hit(g1, gc1, g2, gc2):
+                if (gnondeg and self.c2_hit(g1, gc1, g2, gc2)) or self.c3_hit(g1, gc1, g2, gc2):
                     return False
             return True
         finally:
             self.unplace(r1, c1, r2, c2)
+
+    def first_fit(
+        self,
+        order: Iterable[int],
+        coords: Sequence[tuple[int, int, int, int]],
+        nondeg: Sequence[bool],
+        placed: list[tuple[int, int, int, int, bool]],
+    ) -> list[int]:
+        """Greedy first-fit: place every candidate in ``order`` that ``insertion_ok`` accepts.
+
+        ``coords`` and ``nondeg`` are indexed by candidate; ``placed`` must
+        describe the edges already on the board and grows by each accepted
+        candidate, which stays placed.  Returns the accepted indices in
+        order.
+        """
+        insertion_ok = self.insertion_ok
+        accepted = []
+        for k in order:
+            ck = coords[k]
+            if insertion_ok(ck, nondeg[k], placed):
+                self.place(*ck)
+                placed.append((*ck, nondeg[k]))
+                accepted.append(k)
+        return accepted
 
 
 @dataclass(frozen=True)

@@ -261,13 +261,7 @@ def _greedy_seed(
     base_placed: list[tuple[int, int, int, int, bool]],
 ) -> tuple[int, ...]:
     """Cheap deterministic incumbent: first-fit over the static order."""
-    placed = list(base_placed)
-    chosen = []
-    for i in range(len(coords)):
-        if scratch.insertion_ok(coords[i], nondeg[i], placed):
-            scratch.place(*coords[i])
-            placed.append((*coords[i], nondeg[i]))
-            chosen.append(i)
+    chosen = scratch.first_fit(range(len(coords)), coords, nondeg, list(base_placed))
     for i in reversed(chosen):
         scratch.unplace(*coords[i])
     return tuple(chosen)
@@ -298,11 +292,15 @@ def _solve(
         scratch.place(*entry[:4])
     # a candidate that fails against the base alone never fits (hereditarity);
     # on an empty base this is the static prune
-    usable = [
-        e
-        for e in candidates
-        if scratch.insertion_ok(scratch.coords(e), classify(e) == NONDEGENERATE, base_placed)
-    ]
+    usable: list[TwoEdge] = []
+    usable_coords: list[tuple[int, int, int, int]] = []
+    usable_nondeg: list[bool] = []
+    for e in candidates:
+        ce, nd = scratch.coords(e), classify(e) == NONDEGENERATE
+        if scratch.insertion_ok(ce, nd, base_placed):
+            usable.append(e)
+            usable_coords.append(ce)
+            usable_nondeg.append(nd)
     pruned_static = len(candidates) - len(usable)
 
     conflicts_usable = pairwise_conflicts(q, usable, base, _deadline=deadline)
@@ -310,6 +308,8 @@ def _solve(
     if order == "conflicts":
         perm.sort(key=lambda k: -conflicts_usable[k].bit_count())
     edges = [usable[k] for k in perm]
+    coords = [usable_coords[k] for k in perm]
+    nondeg = [usable_nondeg[k] for k in perm]
     pos_of = {k: p for p, k in enumerate(perm)}
     conflicts = [0] * len(edges)
     for p, k in enumerate(perm):
@@ -328,8 +328,6 @@ def _solve(
         for orbit in orbits:
             level0_mask |= 1 << min(pos_of[k] for k in orbit)
 
-    coords = [scratch.coords(e) for e in edges]
-    nondeg = [classify(e) == NONDEGENERATE for e in edges]
     search = _Search(
         scratch,
         edges,

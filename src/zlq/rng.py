@@ -8,6 +8,8 @@ are identical on every platform and Python version.
 
 Restart streams are derived as ``mix64(master + (index + 1) * gamma)``;
 bounded draws use rejection sampling, so shuffles are exactly uniform.
+``shuffle`` steps the state in one flat loop but draws exactly as
+``below`` does: same outputs, same rejections, same final state.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_TWO64 = 1 << 64
 
 
 def mix64(z: int) -> int:
@@ -40,17 +43,30 @@ class SplitMix64:
         """Uniform integer in [0, n) via rejection sampling (no modulo bias)."""
         if n <= 0:
             raise ValueError(f"bound must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _TWO64 - _TWO64 % n
         while True:
             v = self.next_u64()
             if v < limit:
                 return v % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle; draws exactly as ``below(i + 1)`` would.
+
+        The state is stepped in a local variable.  A draw is rejected when
+        ``z >= 2**64 - 2**64 % n``; the cheaper ``z < 2**64 - n`` accepts
+        almost every draw before that bound is computed.
+        """
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            n = i + 1
+            state = (state + _GAMMA) & _MASK64
+            z = mix64(state)
+            while z >= _TWO64 - n and z >= _TWO64 - _TWO64 % n:
+                state = (state + _GAMMA) & _MASK64
+                z = mix64(state)
+            j = z % n
             items[i], items[j] = items[j], items[i]
+        self._state = state
 
 
 def derive_stream(master_seed: int, index: int) -> SplitMix64:

@@ -30,9 +30,11 @@ class SearchConfig:
     """Everything that determines a search run; equal configs give equal results.
 
     ``time_limit`` is the one exception: it is checked when a restart
-    starts, so a run that hits it may complete fewer restarts than an
-    identical run on a faster machine.  Runs that finish all restarts are
-    bit-stable.
+    starts and before every delete-and-repair attempt, so a run that hits
+    it may complete fewer restarts, or improve its last restart less, than
+    an identical run on a faster machine.  A restart cut short keeps its
+    current family, which is verified like any other.  Runs that finish
+    within the limit are bit-stable.
     """
 
     q: int
@@ -108,12 +110,6 @@ class _State:
         self.edges.append(e)
         self.placed.append(entry)
 
-    def try_add(self, e: TwoEdge, coords: tuple[int, int, int, int], nondeg: bool) -> bool:
-        if self.scratch.insertion_ok(coords, nondeg, self.placed):
-            self.put(e, (*coords, nondeg))
-            return True
-        return False
-
     def remove(self, e: TwoEdge) -> None:
         idx = self.edges.index(e)
         r1, c1, r2, c2, _ = self.placed[idx]
@@ -165,10 +161,9 @@ class _Candidates:
 
 
 def _fill(state: _State, cands: _Candidates, order: Sequence[int]) -> list[TwoEdge]:
-    added = []
-    for k in order:
-        if state.try_add(cands.edges[k], cands.coords[k], cands.nondeg[k]):
-            added.append(cands.edges[k])
+    accepted = state.scratch.first_fit(order, cands.coords, cands.nondeg, state.placed)
+    added = [cands.edges[k] for k in accepted]
+    state.edges.extend(added)
     return added
 
 
@@ -181,9 +176,11 @@ def greedy_fill(start: Family, order: Sequence[TwoEdge]) -> Family:
     if not verify(start).ok:
         raise ValueError("start family fails verification")
     state = _State(start.q, start)
-    for e in order:
-        coords = state.scratch.coords(e)
-        state.try_add(e, coords, classify(e) == NONDEGENERATE)
+    edges = list(order)
+    coords = [state.scratch.coords(e) for e in edges]
+    nondeg = [classify(e) == NONDEGENERATE for e in edges]
+    accepted = state.scratch.first_fit(range(len(edges)), coords, nondeg, state.placed)
+    state.edges.extend(edges[k] for k in accepted)
     return state.family()
 
 
@@ -194,8 +191,16 @@ def _improve(
     passes: int,
     delete_width: int,
     width2_samples: int,
+    deadline: float | None,
 ) -> None:
-    """Delete-and-repair until a pass yields no strictly larger family."""
+    """Delete-and-repair until a pass yields no strictly larger family.
+
+    Once ``deadline`` (a ``time.monotonic`` value, or None for no limit)
+    has passed, no further attempt starts and the current family stands.
+    """
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
 
     def attempt(removals: list[TwoEdge]) -> bool:
         before = len(state.edges)
@@ -217,6 +222,8 @@ def _improve(
     for _ in range(passes):
         improved = False
         for e in list(state.edges):
+            if expired():
+                return
             if e in state.edges and attempt([e]):
                 improved = True
         if delete_width == 2 and len(state.edges) >= 2:
@@ -228,6 +235,8 @@ def _improve(
             ]
             stream.shuffle(pairs)
             for e1, e2 in pairs[:width2_samples]:
+                if expired():
+                    return
                 if e1 in state.edges and e2 in state.edges and attempt([e1, e2]):
                     improved = True
         if not improved:
@@ -246,7 +255,15 @@ def local_improve(family: Family, config: SearchConfig, stream: SplitMix64 | Non
         stream = derive_stream(config.seed, 1 << 32)  # reserved improvement lane
     cands = _Candidates(config.q, config.mode, config.priority_vertex)
     state = _State(config.q, family)
-    _improve(state, cands, stream, config.improve_passes, config.delete_width, config.width2_samples)
+    _improve(
+        state,
+        cands,
+        stream,
+        config.improve_passes,
+        config.delete_width,
+        config.width2_samples,
+        None,
+    )
     return state.family()
 
 
@@ -268,6 +285,7 @@ def _one_restart(
         config.improve_passes,
         config.delete_width,
         config.width2_samples,
+        deadline,
     )
     return len(state.edges), tuple(state.edges)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from zlq import Family, available_cells, candidate_family, make_edge, verify
+from zlq.families import serialize_family
 
 
 def brute_force_optimum(q: int) -> int:
@@ -42,3 +44,8 @@ def random_family(rng: random.Random, q: int, max_size: int) -> Family:
     while len(edges) < size:
         edges.add(random_edge(rng, q))
     return Family.from_edges(q, edges)
+
+
+def family_sha256(family: Family) -> str:
+    """SHA-256 of a family's file form; pins a search path in one value."""
+    return hashlib.sha256(serialize_family(family).encode()).hexdigest()

@@ -304,3 +304,81 @@ def test_rule_cells_examples():
     # a row-degenerate edge keeps its coincident (r, y) cells twice
     d = make_edge((0, 1, 2), (0, 1, 3), q=3)
     assert pattern_cells(d, ((2, 3), 0)) == ((2, 3, 0), (2, 3, 2), (2, 3, 3), (0, 1, 0), (0, 1, 0))
+
+
+def _board_state(scratch):
+    return list(scratch.col_masks), list(scratch.row_masks), scratch.free_cells
+
+
+def _board_over(q, base):
+    scratch = ScratchBoard(q)
+    placed = [scratch.placed_entry(g) for g in base.edges]
+    for entry in placed:
+        scratch.place(*entry[:4])
+    return scratch, placed
+
+
+def _first_fit_by_hand(scratch, order, coords, nondeg, placed):
+    accepted = []
+    for k in order:
+        if scratch.insertion_ok(coords[k], nondeg[k], placed):
+            scratch.place(*coords[k])
+            placed.append((*coords[k], nondeg[k]))
+            accepted.append(k)
+    return accepted
+
+
+def _assert_first_fit_matches_loop(q, base, cands, order):
+    lookup = ScratchBoard(q)
+    coords = [lookup.coords(e) for e in cands]
+    nondeg = [classify(e) == NONDEGENERATE for e in cands]
+    fast, fast_placed = _board_over(q, base)
+    slow, slow_placed = _board_over(q, base)
+    accepted = fast.first_fit(order, coords, nondeg, fast_placed)
+    assert accepted == _first_fit_by_hand(slow, order, coords, nondeg, slow_placed)
+    assert _board_state(fast) == _board_state(slow)
+    assert fast_placed == slow_placed
+    # maximal: nothing left over fits any more, and the result verifies
+    assert not any(fast.insertion_ok(coords[k], nondeg[k], fast_placed) for k in order)
+    assert verify(Family.from_edges(q, list(base.edges) + [cands[k] for k in accepted])).ok
+
+
+def test_first_fit_matches_insertion_loop_small():
+    rng = random.Random(67)
+    for q in (3, 4):
+        cands = candidate_family(q, "full")
+        empty = Family.from_edges(q, [])
+        for _ in range(200):
+            for base in (empty, random_subfamily(rng, reference_family(q))):
+                order = list(range(len(cands)))
+                rng.shuffle(order)
+                _assert_first_fit_matches_loop(q, base, cands, order)
+
+
+def test_first_fit_matches_insertion_loop_large():
+    rng = random.Random(71)
+    for q in (5, 6):
+        cands = candidate_family(q, "full")
+        empty = Family.from_edges(q, [])
+        for k in range(20):
+            base = empty if k % 2 else random_subfamily(rng, reference_family(q))
+            order = list(range(len(cands)))
+            rng.shuffle(order)
+            _assert_first_fit_matches_loop(q, base, cands, order)
+
+
+def test_insertion_ok_leaves_the_board_unchanged():
+    rng = random.Random(73)
+    for q in (3, 4, 5):
+        cands = candidate_family(q, "full")
+        verdicts = set()
+        for _ in range(4):
+            scratch, placed = _board_over(q, random_subfamily(rng, reference_family(q)))
+            before = _board_state(scratch), list(placed)
+            for e in rng.sample(cands, min(len(cands), 300)):
+                verdict = scratch.insertion_ok(
+                    scratch.coords(e), classify(e) == NONDEGENERATE, placed
+                )
+                verdicts.add(verdict)
+                assert (_board_state(scratch), placed) == before, e
+        assert verdicts == {True, False}  # both an accept and a reject were seen

@@ -14,6 +14,8 @@ from zlq.exact import (
 from zlq.fixtures import reference_family
 from zlq.lifting import embed, new_vertex_candidates
 
+from conftest import family_sha256
+
 
 def test_q2_matches_exhaustive_enumeration():
     from conftest import brute_force_optimum
@@ -163,6 +165,10 @@ def test_extension_solver_rejects_bad_base():
 def test_q4_optimum_without_symmetry_agrees():
     with_symmetry = solve_exact(4, symmetry=True)
     assert with_symmetry.optimal and with_symmetry.size == 6
+    # the search path itself is pinned
+    assert with_symmetry.nodes == 318_197
+    digest = family_sha256(with_symmetry.certificate)
+    assert digest == "3deed3b83e973865b08a91def13ce8773f8c311461817b341cd2ac8b00fb4102"
     plain = solve_exact(4, symmetry=False)
     assert plain.optimal and plain.size == 6
     assert plain.z_value == with_symmetry.z_value == 26

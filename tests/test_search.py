@@ -1,8 +1,10 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
 
+import zlq.rng
 from zlq import (
     Family,
     SearchConfig,
@@ -16,6 +18,18 @@ from zlq import (
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
 from zlq.rng import SplitMix64, derive_stream, mix64
+
+from conftest import family_sha256
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _shuffle_by_below(stream, items):
+    """Fisher-Yates spelled with one bounded draw per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.below(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def test_derive_stream_reproducible():
@@ -55,6 +69,44 @@ def test_shuffle_is_uniform_chi_square():
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # deterministic value ~31.5 for this seed; df=23, far below any alarm line
     assert chi2 < 60.0
+
+
+def test_shuffle_draws_exactly_as_below():
+    for seed in (0, 1, 42, 1 << 63, _MASK64):
+        for length in list(range(65)) + [12_180]:
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            xs, ys = list(range(length)), list(range(length))
+            fast.shuffle(xs)
+            _shuffle_by_below(slow, ys)
+            assert xs == ys, (seed, length)
+            assert fast._state == slow._state, (seed, length)
+
+
+def test_shuffle_rejects_exactly_as_below(monkeypatch):
+    # 2**64 - 1 is out of range for n = 10 (limit 2**64 - 6) and must be
+    # redrawn; 2**64 - 9 for n = 9 fails the cheap test z < 2**64 - n but
+    # lies below the exact limit 2**64 - 7, so it must be accepted
+    real = zlq.rng.mix64
+    overrides = {1: (1 << 64) - 1, 3: (1 << 64) - 9}
+
+    def run(shuffle):
+        calls = [0]
+
+        def scripted(z):
+            calls[0] += 1
+            return overrides.get(calls[0], real(z))
+
+        monkeypatch.setattr(zlq.rng, "mix64", scripted)
+        stream, items = SplitMix64(5), list(range(10))
+        shuffle(stream, items)
+        return items, stream._state, calls[0]
+
+    fast = run(lambda stream, items: stream.shuffle(items))
+    slow = run(_shuffle_by_below)
+    assert fast == slow
+    _, state, draws = fast
+    assert draws == 10  # nine positions plus exactly one redraw
+    assert state == (5 + draws * _GAMMA) & _MASK64
 
 
 def test_bounded_draws_reject_bad_input():
@@ -197,3 +249,38 @@ def test_width_two_improvement_runs():
     )
     assert verify(result.best).ok
     assert result.best_size >= 4
+
+
+@pytest.mark.parametrize(
+    "config, sizes, digest",
+    [
+        (
+            SearchConfig(q=5, seed=3, restarts=3, delete_width=2),
+            (10, 10, 11),
+            "f9b4a80eb9f1e71481f9d890711113112a196362ea779b30af44814af1b103b0",
+        ),
+        (
+            SearchConfig(q=6, seed=3, restarts=2),
+            (18, 18),
+            "5afd2602ddda38ea96d8b53a756cf344472316699f9afdab0af8aa1349e13c5f",
+        ),
+        (
+            SearchConfig(q=7, seed=0, restarts=1),
+            (29,),
+            "1745333d8add8d34fac36a4b0745151bfb6001a26b2b9558b170e3e9ee43fe92",
+        ),
+    ],
+    ids=["q5", "q6", "q7"],
+)
+def test_run_search_path_is_pinned(config, sizes, digest):
+    result = run_search(config)
+    assert result.restart_sizes == sizes
+    assert family_sha256(result.best) == digest
+
+
+def test_time_limit_cuts_improvement_short():
+    start = time.monotonic()
+    result = run_search(SearchConfig(q=7, restarts=1, time_limit=0.5))
+    assert time.monotonic() - start < 1.2
+    assert len(result.restart_sizes) == 1
+    assert result.verified and verify(result.best).ok
