@@ -263,8 +263,6 @@ class Board:
 
     q: int
     family: Family
-    col_masks: tuple[int, ...]
-    row_masks: tuple[int, ...]
     owners: tuple[int, ...]  # dense cell index -> FREE / ONE_EDGE / edge index
     s_violations: tuple[Violation, ...]
 
@@ -303,9 +301,6 @@ def build_board(q: int, family: Family) -> Board:
                 raise BoardError(f"edge {edge} claims the 1-edge cell {scratch.rows[ri] + (c,)}")
             if owners[dense] == FREE:
                 owners[dense] = eidx
-                scratch.col_masks[ri] |= 1 << c
-                scratch.row_masks[c] |= 1 << ri
-                scratch.free_cells -= 1
             else:
                 claims.setdefault(dense, [owners[dense]]).append(eidx)
 
@@ -316,22 +311,7 @@ def build_board(q: int, family: Family) -> Board:
         s_violations.append(
             Violation(kind="S", edges=tuple(claims[dense]), cells=((i, j, c),))
         )
-    return Board(
-        q=q,
-        family=family,
-        col_masks=tuple(scratch.col_masks),
-        row_masks=tuple(scratch.row_masks),
-        owners=tuple(owners),
-        s_violations=tuple(s_violations),
-    )
-
-
-def _scratch_from_board(board: Board) -> ScratchBoard:
-    scratch = ScratchBoard(board.q)
-    scratch.col_masks = list(board.col_masks)
-    scratch.row_masks = list(board.row_masks)
-    scratch.free_cells = sum(1 for o in board.owners if o == FREE)
-    return scratch
+    return Board(q=q, family=family, owners=tuple(owners), s_violations=tuple(s_violations))
 
 
 def _edge_index(board: Board, edge: TwoEdge) -> int:
@@ -396,8 +376,10 @@ def incremental_check(board: Board, family: Family, edge: TwoEdge) -> bool:
     """
     if board.s_violations:
         return False
-    scratch = _scratch_from_board(board)
+    scratch = ScratchBoard(board.q)
     placed = [scratch.placed_entry(g) for g in family.edges]
+    for entry in placed:
+        scratch.place(*entry[:4])
     return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
 
 

@@ -109,6 +109,12 @@ def classify(edge: TwoEdge) -> str:
     return NONDEGENERATE
 
 
+def touches_vertex(edge: TwoEdge, v: int) -> bool:
+    """Does vertex v label a row or the column of either half of the edge?"""
+    (i1, j1, c1), (i2, j2, c2) = edge
+    return v in (i1, j1, c1, i2, j2, c2)
+
+
 def iter_candidate_family(q: int, mode: Mode = "full") -> Iterator[TwoEdge]:
     """Stream the candidate 2-edges in canonical order.
 

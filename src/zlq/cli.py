@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -83,14 +82,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(2, "usage", message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ZLQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_verify(args) -> int:
     family = _load_family(args.file)
     result = verify(family)
@@ -156,7 +147,7 @@ def _cmd_search(args) -> int:
         warm_start=warm,
     )
     try:
-        result = run_search(config, threads=args.threads, progress=_progress(args.quiet))
+        result = run_search(config, progress=_progress(args.quiet))
     except ValueError as exc:
         raise _CliError(2, "config", str(exc)) from None
     print(result.summary_json())
@@ -175,7 +166,6 @@ def _cmd_lift(args) -> int:
         delete_width=args.delete_width,
         oracle_on_shortfall=not args.no_oracle,
         oracle_node_limit=args.node_limit,
-        threads=args.threads,
         progress=_progress(args.quiet),
     )
     print(report.summary_json())
@@ -359,9 +349,7 @@ def _cmd_repro(args) -> int:
         check(f"embed-q{q}", verify(lifted).ok, f"to_q={lifted.q} size={len(lifted)}")
 
     for q, want_target, want_bound in ((4, 8, 38), (5, 15, 57)):
-        report = lift_extend(
-            reference_family(q), seed=0, restarts=2, delete_width=1, threads=args.threads
-        )
+        report = lift_extend(reference_family(q), seed=0, restarts=2, delete_width=1)
         ok = report.target == want_target and (
             not report.met_target or report.bound >= want_bound
         )
@@ -424,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width2-samples", type=int, default=64)
     p.add_argument("--warm-start", help="family file to start every restart from")
     p.add_argument("--out", help="write the best family file here")
-    p.add_argument("--threads", type=int, default=_default_threads())
     add_quiet(p)
     p.set_defaults(func=_cmd_search)
 
@@ -439,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the exact sub-solve when the target is missed")
     p.add_argument("--node-limit", type=int, default=20_000_000,
                    help="node budget for the exact sub-solve")
-    p.add_argument("--threads", type=int, default=_default_threads())
     add_quiet(p)
     p.set_defaults(func=_cmd_lift)
 
@@ -478,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="re-run the bundled value and bound checks")
     p.add_argument("--skip-q4", action="store_true",
                    help="skip the exact q=4 computation")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_repro)
 
     return parser

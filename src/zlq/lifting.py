@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .board import TwoEdge, candidate_family
+from .board import TwoEdge, candidate_family, touches_vertex
 from .families import Family
 from .admissibility import verify
 from .exact import solve_extension
@@ -65,11 +65,7 @@ def new_vertex_candidates(q: int, candidates: list[TwoEdge]) -> list[TwoEdge]:
 
     ``q`` is the target board parameter; its largest vertex is the new one.
     """
-    def touches(e: TwoEdge) -> bool:
-        (i1, j1, c1), (i2, j2, c2) = e
-        return q in (i1, j1, c1, i2, j2, c2)
-
-    return [e for e in candidates if touches(e)]
+    return [e for e in candidates if touches_vertex(e, q)]
 
 
 def lift_extend(
@@ -80,7 +76,6 @@ def lift_extend(
     delete_width: int = 2,
     oracle_on_shortfall: bool = True,
     oracle_node_limit: int | None = 20_000_000,
-    threads: int = 1,
     progress: Progress | None = None,
 ) -> LiftReport:
     """Embed, extend by warm-started search, and report target attainment.
@@ -103,7 +98,7 @@ def lift_extend(
         warm_start=base,
         priority_vertex=base.q,
     )
-    result = run_search(config, threads=threads, progress=progress)
+    result = run_search(config, progress=progress)
     best_family = result.best
     achieved = result.best_size
     oracle: str | None = None

@@ -5,19 +5,20 @@ keeps the family admissible, then runs delete-and-repair improvement:
 remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
-index), so runs are bit-stable and thread-count independent; the winning
-family is re-checked by the full verifier before it is returned.
+index), so runs are bit-stable; the winning family is re-checked by the
+full verifier before it is returned.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .board import Mode, NONDEGENERATE, TwoEdge, check_mode, check_q, candidate_family, classify
+from .board import (
+    Mode, NONDEGENERATE, TwoEdge, candidate_family, check_mode, check_q, classify, touches_vertex
+)
 from .families import Family
 from .admissibility import ScratchBoard, static_prune_flags, verify
 from .rng import SplitMix64, derive_stream
@@ -57,6 +58,8 @@ class SearchConfig:
             raise ValueError("delete width must be 1 or 2")
         if self.improve_passes < 0:
             raise ValueError("improvement passes must be non-negative")
+        if self.width2_samples < 0:
+            raise ValueError("width-2 samples must be non-negative")
         if self.warm_start is not None:
             if self.warm_start.q != self.q:
                 raise ValueError("warm start family lives on a different board")
@@ -132,13 +135,8 @@ class _Candidates:
         flags = static_prune_flags(q, pool)
         kept = [e for e, bad in zip(pool, flags) if not bad]
         if priority_vertex is not None:
-            def touches(e: TwoEdge) -> bool:
-                (i1, j1, c1), (i2, j2, c2) = e
-                v = priority_vertex
-                return v in (i1, j1, c1, i2, j2, c2)
-
-            first = [e for e in kept if touches(e)]
-            rest = [e for e in kept if not touches(e)]
+            first = [e for e in kept if touches_vertex(e, priority_vertex)]
+            rest = [e for e in kept if not touches_vertex(e, priority_vertex)]
             self.priority_split = len(first)
             kept = first + rest
         else:
@@ -246,11 +244,11 @@ def _improve(
 def local_improve(family: Family, config: SearchConfig, stream: SplitMix64 | None = None) -> Family:
     """Delete-and-repair local improvement; never returns a smaller family.
 
-    Uses a reserved sub-stream of the config seed unless one is supplied.
+    The family is checked as a warm start of ``config`` would be: same
+    board, passes ``verify``, nondegenerate in nondeg mode.  Uses a
+    reserved sub-stream of the config seed unless one is supplied.
     """
-    config.validate()
-    if not verify(family).ok:
-        raise ValueError("input family fails verification")
+    replace(config, warm_start=family).validate()
     if stream is None:
         stream = derive_stream(config.seed, 1 << 32)  # reserved improvement lane
     cands = _Candidates(config.q, config.mode, config.priority_vertex)
@@ -272,9 +270,7 @@ def _one_restart(
     cands: _Candidates,
     index: int,
     deadline: float | None,
-) -> tuple[int, tuple[TwoEdge, ...]] | None:
-    if deadline is not None and time.monotonic() >= deadline:
-        return None
+) -> tuple[TwoEdge, ...]:
     stream = derive_stream(config.seed, index)
     state = _State(config.q, config.warm_start)
     _fill(state, cands, cands.shuffled_order(stream))
@@ -287,23 +283,17 @@ def _one_restart(
         config.width2_samples,
         deadline,
     )
-    return len(state.edges), tuple(state.edges)
+    return tuple(state.edges)
 
 
-def run_search(
-    config: SearchConfig,
-    threads: int = 1,
-    progress: Progress | None = None,
-) -> SearchResult:
+def run_search(config: SearchConfig, progress: Progress | None = None) -> SearchResult:
     """Multi-restart greedy search with mandatory final verification.
 
-    Ties between restarts break toward the earliest restart index, and the
-    reduction is performed after all restarts finish, so the result does
-    not depend on the thread count.
+    Restarts run in index order; no restart starts once the time limit has
+    passed, and ``progress`` hears each restart's size as it ends.  The
+    largest family wins, ties breaking toward the earliest restart index.
     """
     config.validate()
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
     def empty_result() -> SearchResult:
         best = config.warm_start or Family.from_edges(config.q, [])
@@ -325,32 +315,26 @@ def run_search(
         deadline = time.monotonic() + config.time_limit
 
     cands = _Candidates(config.q, config.mode, config.priority_vertex)
-    indices = range(config.restarts)
-    if threads == 1 or config.restarts <= 1:
-        outcomes = [_one_restart(config, cands, r, deadline) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_one_restart, config, cands, r, deadline) for r in indices
-            ]
-            outcomes = [f.result() for f in futures]
-
-    completed = [(r, out) for r, out in enumerate(outcomes) if out is not None]
-    restart_sizes = tuple(out[0] for _, out in completed)
-    if progress is not None:
-        for r, (size, _) in completed:
-            progress(f"restart {r}: size {size}")
+    completed: list[tuple[int, tuple[TwoEdge, ...]]] = []
+    for r in range(config.restarts):
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        edges = _one_restart(config, cands, r, deadline)
+        completed.append((r, edges))
+        if progress is not None:
+            progress(f"restart {r}: size {len(edges)}")
+    restart_sizes = tuple(len(edges) for _, edges in completed)
 
     # rank candidates best-first, verify the winner, discard anything broken
-    ranked = sorted(completed, key=lambda item: (-item[1][0], item[0]))
-    for r, (size, edges) in ranked:
+    ranked = sorted(completed, key=lambda item: (-len(item[1]), item[0]))
+    for r, edges in ranked:
         family = Family.from_edges(config.q, edges)
         if verify(family).ok:
             return SearchResult(
                 config=config,
                 best=family,
-                best_size=size,
-                bound=config.q * (config.q + 1) + size,
+                best_size=len(edges),
+                bound=config.q * (config.q + 1) + len(edges),
                 restart_sizes=restart_sizes,
                 best_restart=r,
                 verified=True,

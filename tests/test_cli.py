@@ -55,6 +55,9 @@ def test_usage_error_exits_2(capsys):
         (["no-such-command"], "invalid choice"),
         (["solve-exact", "--q", "abc"], "invalid int value"),
         (["solve-exact", "--q", "3", "--threads", "2"], "unrecognized arguments"),
+        (["search", "--q", "3", "--threads", "2"], "unrecognized arguments"),
+        (["lift", "--input", "f", "--threads", "2"], "unrecognized arguments"),
+        (["repro", "--threads", "1"], "unrecognized arguments"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -115,9 +118,8 @@ def test_search_is_byte_identical(tmp_path, capsys):
     args = ["search", "--q", "4", "--seed", "21", "--restarts", "4", "--quiet"]
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
-    code4, out4, _ = run_cli(capsys, *args, "--threads", "4")
-    assert code1 == code2 == code4 == 0
-    assert out1 == out2 == out4
+    assert code1 == code2 == 0
+    assert out1 == out2
     payload = json.loads(out1)
     assert payload["verified"] is True
     assert payload["bound"] == 20 + payload["best_size"]
@@ -142,6 +144,17 @@ def test_search_rejects_mismatched_warm_start(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+def test_search_rejects_negative_width2_samples(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--q", "4", "--delete-width", "2", "--width2-samples", "-3", "--quiet"
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert "width-2 samples" in payload["message"]
 
 
 def test_lift_cli(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 import zlq.rng
+import zlq.search
 from zlq import (
     Family,
     SearchConfig,
@@ -188,13 +189,30 @@ def test_run_search_q3_reaches_the_optimum():
     assert result.best_restart == result.restart_sizes.index(2)  # earliest tie wins
 
 
-def test_run_search_is_bit_stable_and_thread_independent():
+def test_run_search_is_bit_stable():
     config = SearchConfig(q=4, seed=99, restarts=6)
     first = run_search(config)
     second = run_search(config)
-    threaded = run_search(config, threads=4)
-    assert first == second == threaded
-    assert first.summary_json() == threaded.summary_json()
+    assert first == second
+    assert first.summary_json() == second.summary_json()
+
+
+def test_run_search_reports_each_restart_as_it_ends(monkeypatch):
+    log = []
+    one_restart = zlq.search._one_restart
+
+    def logged_restart(config, cands, index, deadline):
+        log.append(f"start {index}")
+        return one_restart(config, cands, index, deadline)
+
+    monkeypatch.setattr(zlq.search, "_one_restart", logged_restart)
+    result = run_search(SearchConfig(q=4, seed=7, restarts=3), progress=log.append)
+    assert log == [
+        line
+        for r, size in enumerate(result.restart_sizes)
+        for line in (f"start {r}", f"restart {r}: size {size}")
+    ]
+    assert len(result.restart_sizes) == 3
 
 
 def test_run_search_warm_start_never_degrades():
@@ -241,6 +259,21 @@ def test_config_validation():
     assert verify(degenerate).ok
     with pytest.raises(ValueError):
         SearchConfig(q=4, mode="nondeg", warm_start=degenerate).validate()
+    with pytest.raises(ValueError, match="width-2 samples"):
+        SearchConfig(q=4, delete_width=2, width2_samples=-1).validate()
+    SearchConfig(q=4, delete_width=2, width2_samples=0).validate()
+
+
+def test_local_improve_checks_its_input_like_a_warm_start():
+    config = SearchConfig(q=4)
+    for family in (reference_family(3), reference_family(5)):
+        with pytest.raises(ValueError, match="different board"):
+            local_improve(family, config)
+    with pytest.raises(ValueError, match="fails verification"):
+        local_improve(Family.from_edges(3, [((0, 1, 2), (2, 3, 0))]), SearchConfig(q=3))
+    degenerate = Family.from_edges(4, [((0, 1, 2), (0, 1, 3))])
+    with pytest.raises(ValueError, match="nondeg mode"):
+        local_improve(degenerate, SearchConfig(q=4, mode="nondeg"))
 
 
 def test_width_two_improvement_runs():
