@@ -11,8 +11,9 @@ Three rules govern a family over the fixed 1-edge background:
   occupied as well.
 
 "Occupied" always includes the 1-edge cells, so a rule can fire against the
-background alone.  Each rule instance is defined once, by ``corner_cells``,
-``witness_set`` and ``pattern_cells``; ``verify`` (through ``check_C2`` and
+background alone.  Each rule instance is defined once: simplicity by
+``cell_claims``, the other two by ``corner_cells``, ``witness_set`` and
+``pattern_cells``; ``verify`` (through ``build_board``, ``check_C2`` and
 ``check_C3``) and the ILP rows in ``ilp`` derive from these functions.  For
 a nondegenerate 2-edge the five pattern cells are automatically pairwise
 distinct (``pattern_cells`` asserts this, nothing re-filters); degenerate
@@ -26,7 +27,9 @@ definition.  A candidate's own rules never involve its own two cells, so
 they are checked before it is placed, and only the re-check of the edges
 already on the board needs the new cells.  ``ScratchBoard.first_fit`` is
 the batched form of the kernel: greedy first-fit over a candidate order,
-shared by the search fills and the exact solver's seed.
+shared by the search fills and the exact solver's seed.  Every kernel
+board is built one way: ``ScratchBoard.over`` places a base family and
+``ScratchBoard.fitting`` keeps the candidates that fit it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,19 @@ ONE_EDGE = -1
 def _format_cell(cell: Cell) -> str:
     i, j, c = cell
     return f"({i},{j}|{c})"
+
+
+def cell_claims(edges: Iterable[TwoEdge]) -> dict[Cell, list[int]]:
+    """Each cell an edge half sits on, mapped to the indices of all edges on it.
+
+    Indices come in edge order.  A cell with two or more claimants, or a
+    claimed 1-edge cell, breaks the simplicity rule.
+    """
+    claims: dict[Cell, list[int]] = {}
+    for k, edge in enumerate(edges):
+        for half in edge:
+            claims.setdefault(half, []).append(k)
+    return claims
 
 
 def corner_cells(edge: TwoEdge) -> tuple[Cell, Cell]:
@@ -148,6 +164,17 @@ class ScratchBoard:
             self.row_masks[j] |= 1 << k
         self.free_cells = self.m * (q - 1)
 
+    @classmethod
+    def over(
+        cls, q: int, edges: Iterable[TwoEdge]
+    ) -> tuple[ScratchBoard, list[tuple[int, int, int, int, bool]]]:
+        """A board with ``edges`` placed, and the ``placed`` list that describes them."""
+        board = cls(q)
+        placed = [board.placed_entry(e) for e in edges]
+        for entry in placed:
+            board.place(*entry[:4])
+        return board, placed
+
     def coords(self, edge: TwoEdge) -> tuple[int, int, int, int]:
         """(row index, column) pairs of the two halves."""
         (i1, j1, c1), (i2, j2, c2) = edge
@@ -232,6 +259,25 @@ class ScratchBoard:
         finally:
             self.unplace(r1, c1, r2, c2)
 
+    def fitting(
+        self,
+        candidates: Iterable[TwoEdge],
+        placed: list[tuple[int, int, int, int, bool]],
+    ) -> tuple[list[TwoEdge], list[tuple[int, int, int, int]], list[bool]]:
+        """The candidates ``insertion_ok`` accepts against ``placed``, in order.
+
+        Returns their edges, coords and nondegeneracy flags.  Each candidate
+        is judged alone, so on an empty board this is the static prune.
+        """
+        edges, coords, nondeg = [], [], []
+        for e in candidates:
+            ce, nd = self.coords(e), classify(e) == NONDEGENERATE
+            if self.insertion_ok(ce, nd, placed):
+                edges.append(e)
+                coords.append(ce)
+                nondeg.append(nd)
+        return edges, coords, nondeg
+
     def first_fit(
         self,
         order: Iterable[int],
@@ -285,33 +331,27 @@ def build_board(q: int, family: Family) -> Board:
     """
     if family.q != q:
         raise BoardError(f"family is on the {family.q}-board, expected q={q}")
-    scratch = ScratchBoard(q)
+    board_rows = rows(q)
     n = q + 1
-    owners = [FREE] * (scratch.m * n)
-    for k, (i, j) in enumerate(scratch.rows):
+    owners = [FREE] * (len(board_rows) * n)
+    for k, (i, j) in enumerate(board_rows):
         owners[k * n + i] = ONE_EDGE
         owners[k * n + j] = ONE_EDGE
 
-    claims: dict[int, list[int]] = {}
-    for eidx, edge in enumerate(family.edges):
-        r1, c1, r2, c2 = scratch.coords(edge)
-        for ri, c in ((r1, c1), (r2, c2)):
-            dense = ri * n + c
-            if owners[dense] == ONE_EDGE:
-                raise BoardError(f"edge {edge} claims the 1-edge cell {scratch.rows[ri] + (c,)}")
-            if owners[dense] == FREE:
-                owners[dense] = eidx
-            else:
-                claims.setdefault(dense, [owners[dense]]).append(eidx)
+    claims = cell_claims(family.edges)
+    for cell, claimants in claims.items():
+        i, j, c = cell
+        dense = row_index(q, i, j) * n + c
+        if owners[dense] == ONE_EDGE:
+            raise BoardError(f"edge {family.edges[claimants[0]]} claims the 1-edge cell {cell}")
+        owners[dense] = claimants[0]
 
-    s_violations = []
-    for dense in sorted(claims):
-        ri, c = divmod(dense, n)
-        i, j = scratch.rows[ri]
-        s_violations.append(
-            Violation(kind="S", edges=tuple(claims[dense]), cells=((i, j, c),))
-        )
-    return Board(q=q, family=family, owners=tuple(owners), s_violations=tuple(s_violations))
+    s_violations = tuple(
+        Violation(kind="S", edges=tuple(claims[cell]), cells=(cell,))
+        for cell in sorted(claims)
+        if len(claims[cell]) > 1
+    )
+    return Board(q=q, family=family, owners=tuple(owners), s_violations=s_violations)
 
 
 def _edge_index(board: Board, edge: TwoEdge) -> int:
@@ -376,10 +416,7 @@ def incremental_check(board: Board, family: Family, edge: TwoEdge) -> bool:
     """
     if board.s_violations:
         return False
-    scratch = ScratchBoard(board.q)
-    placed = [scratch.placed_entry(g) for g in family.edges]
-    for entry in placed:
-        scratch.place(*entry[:4])
+    scratch, placed = ScratchBoard.over(board.q, family.edges)
     return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
 
 
@@ -390,8 +427,5 @@ def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:
     background can never appear in an admissible family (admissibility is
     hereditary), so solvers drop such candidates up front.
     """
-    scratch = ScratchBoard(q)
-    return [
-        not scratch.insertion_ok(scratch.coords(e), classify(e) == NONDEGENERATE, [])
-        for e in candidates
-    ]
+    kept = set(ScratchBoard(q).fitting(candidates, [])[0])
+    return [e not in kept for e in candidates]

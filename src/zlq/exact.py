@@ -96,17 +96,6 @@ def candidate_orbits(q: int, candidates: list[TwoEdge]) -> list[list[int]]:
     return orbits
 
 
-def orbit_representatives(q: int, candidates: list[TwoEdge]) -> list[int]:
-    """One representative index per orbit: the minimum in list order."""
-    return sorted(orbit[0] for orbit in candidate_orbits(q, candidates))
-
-
-def _cell_mask(scratch: ScratchBoard, edge: TwoEdge) -> int:
-    r1, c1, r2, c2 = scratch.coords(edge)
-    n = scratch.n
-    return (1 << (r1 * n + c1)) | (1 << (r2 * n + c2))
-
-
 def pairwise_conflicts(
     q: int,
     candidates: list[TwoEdge],
@@ -126,13 +115,9 @@ def pairwise_conflicts(
     value); once it has passed, no further rows are filled.  A partial
     relation is still sound, it only prunes less.
     """
-    scratch = ScratchBoard(q)
-    base_placed = [] if base is None else [scratch.placed_entry(g) for g in base.edges]
-    for entry in base_placed:
-        scratch.place(*entry[:4])
+    scratch, base_placed = ScratchBoard.over(q, () if base is None else base.edges)
     coords = [scratch.coords(e) for e in candidates]
     nondeg = [classify(e) == NONDEGENERATE for e in candidates]
-    cellmasks = [_cell_mask(scratch, e) for e in candidates]
     n = len(candidates)
     masks = [0] * n
     for i in range(n):
@@ -142,11 +127,7 @@ def pairwise_conflicts(
         scratch.place(*coords[i])
         bit_i = 1 << i
         for j in range(i + 1, n):
-            if cellmasks[i] & cellmasks[j]:
-                conflict = True
-            else:
-                conflict = not scratch.insertion_ok(coords[j], nondeg[j], placed_i)
-            if conflict:
+            if not scratch.insertion_ok(coords[j], nondeg[j], placed_i):
                 masks[i] |= 1 << j
                 masks[j] |= bit_i
         scratch.unplace(*coords[i])
@@ -282,25 +263,19 @@ def _solve(
 
     The one branch-and-bound core behind both public solvers.  Symmetry
     is sound only when the base is empty and the candidate list is closed
-    under vertex relabeling.  Budgets count from ``start``.
+    under vertex relabeling.  Budgets count from ``start`` and must be
+    non-negative.
     """
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node limit must be non-negative, got {node_limit}")
+    if time_limit is not None and time_limit < 0:
+        raise ValueError(f"time limit must be non-negative, got {time_limit}")
     q = base.q
     deadline = None if time_limit is None else start + time_limit
-    scratch = ScratchBoard(q)
-    base_placed = [scratch.placed_entry(g) for g in base.edges]
-    for entry in base_placed:
-        scratch.place(*entry[:4])
+    scratch, base_placed = ScratchBoard.over(q, base.edges)
     # a candidate that fails against the base alone never fits (hereditarity);
     # on an empty base this is the static prune
-    usable: list[TwoEdge] = []
-    usable_coords: list[tuple[int, int, int, int]] = []
-    usable_nondeg: list[bool] = []
-    for e in candidates:
-        ce, nd = scratch.coords(e), classify(e) == NONDEGENERATE
-        if scratch.insertion_ok(ce, nd, base_placed):
-            usable.append(e)
-            usable_coords.append(ce)
-            usable_nondeg.append(nd)
+    usable, usable_coords, usable_nondeg = scratch.fitting(candidates, base_placed)
     pruned_static = len(candidates) - len(usable)
 
     conflicts_usable = pairwise_conflicts(q, usable, base, _deadline=deadline)

@@ -8,20 +8,17 @@ cell.  Rows:
 * ``c2_<k>``  (nondegenerate): x_k + occupancy of both opposite corners <= 2
 * ``c3_<k>_<w>`` (per witness): x_k + the five pattern occupancies <= 5
 
-The cells of each c2 and c3 row come from the rule definitions in
-``admissibility`` (``corner_cells``, ``witness_set``, ``pattern_cells``),
-which the verifier uses as well.  Occupancy of a 1-edge cell is the
+The cells of every row come from the rule definitions in
+``admissibility`` (``cell_claims`` for the s-rows; ``corner_cells``,
+``witness_set`` and ``pattern_cells`` for c2 and c3), which the verifier
+uses as well.  Occupancy of a 1-edge cell is the
 constant 1 and is moved to the right-hand side at build time; coincident
 pattern cells of degenerate candidates keep their multiplicity
 (coefficient 2), so every c3 row carries exactly five occupancy terms
 counted with multiplicity.  A row whose right-hand side collapses to
 ``x_k <= 0`` marks a candidate that can never be selected; with static
 pruning enabled such candidates are fixed to zero instead of emitting the
-row.
-
-The selection objective is stored in minimization form (coefficient -1 per
-x variable, so the optimum value is the negated family size); the exporter
-writes the equivalent Maximize.
+row.  The objective maximizes the sum of the x variables.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .board import (
 from .families import Family
 from .admissibility import (
     VerifyResult,
+    cell_claims,
     corner_cells,
     pattern_cells,
     verify,
@@ -72,7 +70,6 @@ class IlpModel:
     var_names: tuple[str, ...]  # x variables first, then o variables
     rows: tuple[LinearRow, ...]
     fixed_zero: tuple[int, ...]  # candidate indices pinned to 0 by pruning
-    objective_min: tuple[tuple[int, int], ...]  # minimize form: -1 per x
 
     @property
     def num_x(self) -> int:
@@ -103,16 +100,12 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
     var_names = [f"x_{k}" for k in range(num_x)]
     var_names += [f"o_{i}_{j}_{c}" for (i, j, c) in cells]
 
-    by_cell: dict[int, list[int]] = {idx: [] for idx in range(len(cells))}
-    for k, (h1, h2) in enumerate(cands):
-        by_cell[cell_index[h1]].append(k)
-        by_cell[cell_index[h2]].append(k)
-
+    claims = cell_claims(cands)
     model_rows: list[LinearRow] = []
     fixed_zero: set[int] = set()
 
     for idx, cell in enumerate(cells):
-        terms = [(1, num_x + idx)] + [(-1, k) for k in by_cell[idx]]
+        terms = [(1, num_x + idx)] + [(-1, k) for k in claims.get(cell, ())]
         model_rows.append(
             LinearRow(name=f"s_{idx}", terms=tuple(terms), sense="=", rhs=0, tag="S")
         )
@@ -149,7 +142,6 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
         for w_idx, witness in enumerate(witness_set(edge, q)):
             add_rule_row(k, f"c3_{k}_{w_idx}", "C3", pattern_cells(edge, witness))
 
-    objective = tuple((-1, k) for k in range(num_x))
     return IlpModel(
         q=q,
         mode=mode,
@@ -159,7 +151,6 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
         var_names=tuple(var_names),
         rows=tuple(model_rows),
         fixed_zero=tuple(sorted(fixed_zero)),
-        objective_min=objective,
     )
 
 
@@ -211,11 +202,11 @@ def export_lp(model: IlpModel) -> str:
 
 
 def family_to_assignment(model: IlpModel, family: Family) -> list[int]:
-    """Induced 0/1 vector: x per selected candidate, o per used cell.
+    """Induced 0/1 vector: x per selected candidate, o per claimed cell.
 
-    Occupancy is clamped to 1 when two selected candidates share a cell, so
-    the corresponding s-row registers the infeasibility instead of the
-    vector silently leaving {0,1}.
+    Occupancy is 1 on every cell in ``cell_claims``, also when two selected
+    candidates share it, so the corresponding s-row registers the
+    infeasibility instead of the vector silently leaving {0,1}.
     """
     if family.q != model.q:
         raise ValueError(f"family q={family.q} does not match model q={model.q}")
@@ -227,12 +218,8 @@ def family_to_assignment(model: IlpModel, family: Family) -> list[int]:
         if k is None:
             raise ValueError(f"edge {edge} is not a candidate of this model (mode={model.mode})")
         values[k] = 1
-    usage: dict[int, int] = {}
-    for edge in family.edges:
-        for half in edge:
-            usage[cell_index[half]] = usage.get(cell_index[half], 0) + 1
-    for idx, count in usage.items():
-        values[model.num_x + idx] = 1 if count else 0
+    for cell in cell_claims(family.edges):
+        values[model.num_x + cell_index[cell]] = 1
     return values
 
 
@@ -293,7 +280,7 @@ def parse_solution_file(text: str, model: IlpModel) -> list[int]:
 @dataclass(frozen=True)
 class SolutionImport:
     family: Family
-    objective: int  # number of selected candidates; minimization-form value is its negation
+    objective: int  # number of selected candidates
     violated_rows: tuple[str, ...]
     ilp_feasible: bool
     verifier: VerifyResult

@@ -84,8 +84,11 @@ def lift_extend(
     is set, an exact branch-and-bound over the new-vertex candidates (base
     frozen) decides whether the restricted extension can reach it.  The
     returned family always passes the full verifier and is never smaller
-    than the input.
+    than the input.  A negative ``oracle_node_limit`` is rejected before
+    anything runs.
     """
+    if oracle_node_limit is not None and oracle_node_limit < 0:
+        raise ValueError(f"oracle node limit must be non-negative, got {oracle_node_limit}")
     base = embed(family)
     target = len(family) + family.q // 2
     config = SearchConfig(

@@ -20,7 +20,7 @@ from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_mode, check_q, classify, touches_vertex
 )
 from .families import Family
-from .admissibility import ScratchBoard, static_prune_flags, verify
+from .admissibility import ScratchBoard, verify
 from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
@@ -54,6 +54,8 @@ class SearchConfig:
         check_mode(self.mode)
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
+        if self.time_limit is not None and self.time_limit < 0:
+            raise ValueError("time limit must be non-negative")
         if self.delete_width not in (1, 2):
             raise ValueError("delete width must be 1 or 2")
         if self.improve_passes < 0:
@@ -101,14 +103,11 @@ class _State:
 
     def __init__(self, q: int, base: Family | None):
         self.q = q
-        self.scratch = ScratchBoard(q)
-        self.edges: list[TwoEdge] = []
-        self.placed: list[tuple[int, int, int, int, bool]] = []
-        if base is not None:
-            for e in base.edges:
-                self.put(e, self.scratch.placed_entry(e))
+        self.edges: list[TwoEdge] = [] if base is None else list(base.edges)
+        self.scratch, self.placed = ScratchBoard.over(q, self.edges)
 
-    def put(self, e: TwoEdge, entry: tuple[int, int, int, int, bool]) -> None:
+    def put(self, e: TwoEdge) -> None:
+        entry = self.scratch.placed_entry(e)
         self.scratch.place(*entry[:4])
         self.edges.append(e)
         self.placed.append(entry)
@@ -130,20 +129,15 @@ class _Candidates:
     __slots__ = ("edges", "coords", "nondeg", "priority_split")
 
     def __init__(self, q: int, mode: Mode, priority_vertex: int | None):
-        scratch = ScratchBoard(q)
         pool = candidate_family(q, mode)
-        flags = static_prune_flags(q, pool)
-        kept = [e for e, bad in zip(pool, flags) if not bad]
         if priority_vertex is not None:
-            first = [e for e in kept if touches_vertex(e, priority_vertex)]
-            rest = [e for e in kept if not touches_vertex(e, priority_vertex)]
-            self.priority_split = len(first)
-            kept = first + rest
-        else:
-            self.priority_split = None
-        self.edges = kept
-        self.coords = [scratch.coords(e) for e in kept]
-        self.nondeg = [classify(e) == NONDEGENERATE for e in kept]
+            # stable: candidates touching the vertex first, each block in pool order
+            pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
+        # the static prune: keep what fits the empty board
+        self.edges, self.coords, self.nondeg = ScratchBoard(q).fitting(pool, [])
+        self.priority_split = None
+        if priority_vertex is not None:
+            self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
 
     def shuffled_order(self, stream: SplitMix64) -> list[int]:
         """Candidate indices, shuffled; the priority block stays in front."""
@@ -210,7 +204,7 @@ def _improve(
         for e in added:
             state.remove(e)
         for e in removals:
-            state.put(e, state.scratch.placed_entry(e))
+            state.put(e)
         return False
 
     # repair pass with nothing deleted: maximality is order-relative, so a

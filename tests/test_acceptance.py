@@ -182,6 +182,9 @@ def test_criterion_7c_search_determinism(capsys):
         assert code == 0
         outputs.append(out)
     assert len(set(outputs)) == 1, "search output varies across runs"
+    payload = json.loads(outputs[0])
+    assert payload["verified"] is True
+    assert payload["bound"] == 20 + payload["best_size"]
     print("\nPASS criterion 7c: three identical search runs are byte-identical")
 
 

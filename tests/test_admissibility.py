@@ -16,6 +16,7 @@ from zlq import (
 from zlq.admissibility import (
     ONE_EDGE,
     ScratchBoard,
+    cell_claims,
     corner_cells,
     pattern_cells,
     static_prune_flags,
@@ -56,6 +57,13 @@ def test_build_board_reports_shared_half_as_simplicity_violation():
 def test_build_board_rejects_wrong_q():
     with pytest.raises(BoardError):
         build_board(4, Q3_REFERENCE)
+
+
+def test_build_board_rejects_a_half_on_a_1_edge_cell():
+    # Family() skips the validation that Family.from_edges does
+    fam = Family(q=3, edges=(((0, 1, 2), (0, 3, 1)), ((0, 1, 0), (2, 3, 1))))
+    with pytest.raises(BoardError, match=r"claims the 1-edge cell \(0, 1, 0\)"):
+        build_board(3, fam)
 
 
 def test_c2_fires_on_background_occupancy():
@@ -232,6 +240,49 @@ def test_static_prune_flags():
             assert bad == (not verify(Family.from_edges(q, [e])).ok)
 
 
+def test_cell_claims_lists_every_claimant_in_edge_order():
+    a, b, c = ((0, 1, 2), (0, 3, 1)), ((0, 1, 2), (1, 3, 0)), ((1, 3, 2), (2, 3, 0))
+    assert cell_claims([a, b, c, a]) == {
+        (0, 1, 2): [0, 1, 3],
+        (0, 3, 1): [0, 3],
+        (1, 3, 0): [1],
+        (1, 3, 2): [2],
+        (2, 3, 0): [2],
+    }
+    assert cell_claims([]) == {}
+
+
+def test_s_violations_are_the_shared_claims():
+    rng = random.Random(79)
+    for _ in range(200):
+        q = rng.choice([3, 4, 5])
+        edges = [random_edge(rng, q) for _ in range(rng.randint(0, 8))]
+        board = build_board(q, Family(q=q, edges=tuple(edges)))
+        claims = cell_claims(edges)
+        shared = sorted(cell for cell, ks in claims.items() if len(ks) > 1)
+        assert [v.cells for v in board.s_violations] == [(cell,) for cell in shared]
+        assert [v.edges for v in board.s_violations] == [tuple(claims[cell]) for cell in shared]
+        for cell, ks in claims.items():
+            assert board.owner_of(cell) == ks[0]
+
+
+def test_over_and_fitting_keep_what_verifies_with_the_base():
+    rng = random.Random(83)
+    for q in (3, 4):
+        cands = candidate_family(q, "full")
+        for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
+            scratch, placed = ScratchBoard.over(q, base.edges)
+            assert placed == [scratch.placed_entry(g) for g in base.edges]
+            assert scratch.free_cells == ScratchBoard(q).free_cells - 2 * len(base)
+            edges, coords, nondeg = scratch.fitting(cands, placed)
+            expected = [
+                e for e in cands if verify(Family(q=q, edges=base.edges + (e,))).ok
+            ]
+            assert edges == expected
+            assert coords == [scratch.coords(e) for e in edges]
+            assert nondeg == [classify(e) == NONDEGENERATE for e in edges]
+
+
 def test_scratch_board_roundtrip():
     s = ScratchBoard(3)
     coords = s.coords(((0, 1, 2), (0, 3, 1)))
@@ -256,12 +307,16 @@ def _rule_hits(q, edges, edge):
 
 
 def _assert_kernel_matches_definition(q, family, candidates):
-    """c2_hit/c3_hit agree with the definition, before and after placing each candidate."""
-    scratch = ScratchBoard(q)
-    for g in family.edges:
-        scratch.place(*scratch.coords(g))
+    """cells_free, c2_hit and c3_hit agree with the rule definitions.
+
+    The hits are compared before and after placing each candidate.
+    """
+    scratch, _ = ScratchBoard.over(q, family.edges)
+    claims = cell_claims(family.edges)
     for e in candidates:
         coords = scratch.coords(e)
+        claimed = any(c in (i, j) or (i, j, c) in claims for (i, j, c) in e)
+        assert scratch.cells_free(*coords) == (not claimed), e
         kernel = (scratch.c2_hit(*coords), scratch.c3_hit(*coords))
         assert kernel == _rule_hits(q, family.edges, e), e
         if e not in family.edges and scratch.cells_free(*coords):
@@ -310,14 +365,6 @@ def _board_state(scratch):
     return list(scratch.col_masks), list(scratch.row_masks), scratch.free_cells
 
 
-def _board_over(q, base):
-    scratch = ScratchBoard(q)
-    placed = [scratch.placed_entry(g) for g in base.edges]
-    for entry in placed:
-        scratch.place(*entry[:4])
-    return scratch, placed
-
-
 def _first_fit_by_hand(scratch, order, coords, nondeg, placed):
     accepted = []
     for k in order:
@@ -332,8 +379,8 @@ def _assert_first_fit_matches_loop(q, base, cands, order):
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in cands]
     nondeg = [classify(e) == NONDEGENERATE for e in cands]
-    fast, fast_placed = _board_over(q, base)
-    slow, slow_placed = _board_over(q, base)
+    fast, fast_placed = ScratchBoard.over(q, base.edges)
+    slow, slow_placed = ScratchBoard.over(q, base.edges)
     accepted = fast.first_fit(order, coords, nondeg, fast_placed)
     assert accepted == _first_fit_by_hand(slow, order, coords, nondeg, slow_placed)
     assert _board_state(fast) == _board_state(slow)
@@ -373,7 +420,7 @@ def test_insertion_ok_leaves_the_board_unchanged():
         cands = candidate_family(q, "full")
         verdicts = set()
         for _ in range(4):
-            scratch, placed = _board_over(q, random_subfamily(rng, reference_family(q)))
+            scratch, placed = ScratchBoard.over(q, random_subfamily(rng, reference_family(q)).edges)
             before = _board_state(scratch), list(placed)
             for e in rng.sample(cands, min(len(cands), 300)):
                 verdict = scratch.insertion_ok(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -8,7 +9,6 @@ from zlq.board import candidate_family
 from zlq.exact import (
     apply_vertex_permutation,
     candidate_orbits,
-    orbit_representatives,
     solve_extension,
 )
 from zlq.fixtures import reference_family
@@ -68,7 +68,6 @@ def test_budget_exhaustion_is_reported_honestly():
 
 
 def test_conflicts_agree_with_pair_verification():
-    rng = random.Random(7)
     cands = candidate_family(3, "full")
     masks = pairwise_conflicts(3, cands)
     # the reference family's two edges do not conflict
@@ -78,11 +77,28 @@ def test_conflicts_agree_with_pair_verification():
     # a shared cell always conflicts
     k = cands.index(((0, 1, 2), (1, 3, 0)))
     assert (masks[i] >> k) & 1
-    for _ in range(300):
-        a, b = rng.sample(range(len(cands)), 2)
+    pairs = list(itertools.combinations(range(len(cands)), 2))
+    assert len(pairs) == 2145
+    for a, b in pairs:
         pair_ok = verify(Family.from_edges(3, [cands[a], cands[b]])).ok
         assert ((masks[a] >> b) & 1) == (not pair_ok)
         assert ((masks[b] >> a) & 1) == ((masks[a] >> b) & 1)
+
+
+def test_conflicts_over_a_base_agree_with_verification():
+    rng = random.Random(7)
+    for q in (3, 4):
+        base = Family.from_edges(q, reference_family(q).edges[:2])
+        fits = [
+            e for e in candidate_family(q, "full")
+            if e not in base.edges and verify(Family.from_edges(q, list(base.edges) + [e])).ok
+        ]
+        masks = pairwise_conflicts(q, fits, base)
+        pairs = list(itertools.combinations(range(len(fits)), 2))
+        for a, b in pairs if q == 3 else rng.sample(pairs, 1500):
+            together = verify(Family.from_edges(q, list(base.edges) + [fits[a], fits[b]])).ok
+            assert ((masks[a] >> b) & 1) == (not together), (fits[a], fits[b])
+            assert ((masks[b] >> a) & 1) == ((masks[a] >> b) & 1)
 
 
 def test_upper_bound_properties():
@@ -109,8 +125,6 @@ def test_orbits_partition_the_candidates():
         assert apply_vertex_permutation(identity, cands[k]) == cands[k]
         image = apply_vertex_permutation((1, 0, 3, 2), cands[k])
         assert orbit_of[index[image]] == orbit_of[k]
-    reps = orbit_representatives(3, cands)
-    assert len(reps) == 5 and all(k in flat for k in reps)
 
 
 def test_symmetry_flag_preserves_the_optimum():
@@ -153,6 +167,18 @@ def test_time_limit_covers_preprocessing():
     assert time.monotonic() - start < 5.0
     assert result.status == "incumbent"
     assert verify(result.certificate).ok and result.size >= 1
+
+
+def test_negative_budgets_are_rejected():
+    for kwargs in ({"node_limit": -5}, {"time_limit": -1.0}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            solve_exact(3, **kwargs)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            solve_extension(Family.from_edges(3, []), candidate_family(3, "full"), **kwargs)
+    # a zero budget stays valid
+    result = solve_exact(3, node_limit=0)
+    assert result.status == "incumbent" and verify(result.certificate).ok
+    assert verify(solve_exact(3, time_limit=0.0).certificate).ok
 
 
 def test_extension_solver_rejects_bad_base():

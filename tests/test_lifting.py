@@ -27,6 +27,15 @@ def test_embed_rejects_inadmissible_input():
         embed(Family.from_edges(3, [((0, 1, 2), (2, 3, 0))]))
 
 
+def test_lift_rejects_a_negative_oracle_budget(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr("zlq.lifting.run_search", no_search)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        lift_extend(reference_family(4), oracle_node_limit=-5)
+
+
 def test_new_vertex_candidates_q6():
     pool = candidate_family(6, "full")
     new = new_vertex_candidates(6, pool)

@@ -262,6 +262,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="width-2 samples"):
         SearchConfig(q=4, delete_width=2, width2_samples=-1).validate()
     SearchConfig(q=4, delete_width=2, width2_samples=0).validate()
+    with pytest.raises(ValueError, match="time limit"):
+        SearchConfig(q=4, time_limit=-1).validate()
+    SearchConfig(q=4, time_limit=0).validate()
 
 
 def test_local_improve_checks_its_input_like_a_warm_start():
