@@ -114,6 +114,17 @@ def test_solve_exact_budget_exit_code(tmp_path, capsys):
     assert any(e["event"] == "bound" for e in events)
 
 
+def test_search_is_byte_identical(tmp_path, capsys):
+    args = ["search", "--q", "4", "--seed", "21", "--restarts", "4", "--quiet"]
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    payload = json.loads(out1)
+    assert payload["verified"] is True
+    assert payload["bound"] == 20 + payload["best_size"]
+
+
 def test_search_warm_start_and_out(tmp_path, capsys):
     warm = write_family(tmp_path, 5)
     best = tmp_path / "best.zlq"
