@@ -18,6 +18,9 @@ background alone.  Each rule instance is defined once: simplicity by
 a nondegenerate 2-edge the five pattern cells are automatically pairwise
 distinct (``pattern_cells`` asserts this, nothing re-filters); degenerate
 2-edges may have coincident pattern cells, and the pattern is a multiset.
+The verifier's ``Board`` stores only the family's ``cell_claims``; a
+cell's owner comes from them and from the 1-edge rule (the column lies in
+the row pair).
 
 The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path used by
 search and the exact solver.  It tracks occupancy in two redundant bitset
@@ -45,7 +48,6 @@ from .board import (
     TwoEdge,
     check_q,
     classify,
-    row_index,
     rows,
     validate_cell,
 )
@@ -184,9 +186,6 @@ class ScratchBoard:
         """The record ``insertion_ok`` expects in ``placed``: coords and nondegeneracy."""
         return (*self.coords(edge), classify(edge) == NONDEGENERATE)
 
-    def occupied(self, ri: int, c: int) -> bool:
-        return bool((self.col_masks[ri] >> c) & 1)
-
     def cells_free(self, r1: int, c1: int, r2: int, c2: int) -> bool:
         return not ((self.col_masks[r1] >> c1) & 1 or (self.col_masks[r2] >> c2) & 1)
 
@@ -309,17 +308,21 @@ class Board:
 
     q: int
     family: Family
-    owners: tuple[int, ...]  # dense cell index -> FREE / ONE_EDGE / edge index
+    claims: dict[Cell, list[int]]  # ``cell_claims`` of the family's edges
     s_violations: tuple[Violation, ...]
 
     def owner_of(self, cell: Cell) -> int:
+        """ONE_EDGE on a 1-edge cell, else the cell's first claimant, or FREE."""
         i, j, c = cell
-        return self.owners[row_index(self.q, i, j) * (self.q + 1) + c]
+        if c in (i, j):
+            return ONE_EDGE
+        claimants = self.claims.get(cell)
+        return FREE if claimants is None else claimants[0]
 
     def counts(self) -> dict[str, int]:
-        one = sum(1 for o in self.owners if o == ONE_EDGE)
-        free = sum(1 for o in self.owners if o == FREE)
-        return {"one_edge": one, "free": free, "used": len(self.owners) - one - free}
+        m = self.q * (self.q + 1) // 2  # rows; each has two 1-edge cells
+        used = len(self.claims)
+        return {"one_edge": 2 * m, "free": m * (self.q - 1) - used, "used": used}
 
 
 def build_board(q: int, family: Family) -> Board:
@@ -331,27 +334,17 @@ def build_board(q: int, family: Family) -> Board:
     """
     if family.q != q:
         raise BoardError(f"family is on the {family.q}-board, expected q={q}")
-    board_rows = rows(q)
-    n = q + 1
-    owners = [FREE] * (len(board_rows) * n)
-    for k, (i, j) in enumerate(board_rows):
-        owners[k * n + i] = ONE_EDGE
-        owners[k * n + j] = ONE_EDGE
-
     claims = cell_claims(family.edges)
     for cell, claimants in claims.items():
         i, j, c = cell
-        dense = row_index(q, i, j) * n + c
-        if owners[dense] == ONE_EDGE:
+        if c in (i, j):
             raise BoardError(f"edge {family.edges[claimants[0]]} claims the 1-edge cell {cell}")
-        owners[dense] = claimants[0]
-
     s_violations = tuple(
         Violation(kind="S", edges=tuple(claims[cell]), cells=(cell,))
         for cell in sorted(claims)
         if len(claims[cell]) > 1
     )
-    return Board(q=q, family=family, owners=tuple(owners), s_violations=s_violations)
+    return Board(q=q, family=family, claims=claims, s_violations=s_violations)
 
 
 def _edge_index(board: Board, edge: TwoEdge) -> int:
@@ -406,8 +399,8 @@ def verify(family: Family) -> VerifyResult:
     return VerifyResult(ok=not violations, violations=tuple(violations))
 
 
-def incremental_check(board: Board, family: Family, edge: TwoEdge) -> bool:
-    """True iff family + edge stays admissible; board must match family.
+def incremental_check(board: Board, edge: TwoEdge) -> bool:
+    """True iff the board's family plus ``edge`` stays admissible.
 
     Equivalent, by tested contract, to running the full verifier on the
     extended family: the edge's own cells must be free, its own rules must
@@ -416,7 +409,7 @@ def incremental_check(board: Board, family: Family, edge: TwoEdge) -> bool:
     """
     if board.s_violations:
         return False
-    scratch, placed = ScratchBoard.over(board.q, family.edges)
+    scratch, placed = ScratchBoard.over(board.q, board.family.edges)
     return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
 
 

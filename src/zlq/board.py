@@ -7,15 +7,15 @@ pair; every other cell is available.  A 2-edge is an unordered pair of
 distinct available cells, classified by whether its two halves share a row
 or a column.
 
-Internal index contract: rows are numbered in lexicographic order and a
-cell (row, col) gets the dense index ``row_index * (q + 1) + col``.  The
-dense index backs the occupancy bitsets used elsewhere; file formats only
-ever carry explicit vertex labels.
+Rows are listed in lexicographic order (``rows``).  The position of a row
+in that list, the dense row index behind the occupancy bitsets, lives only
+in ``admissibility.ScratchBoard``; file formats only ever carry explicit
+vertex labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Iterator, Literal
 
@@ -49,13 +49,6 @@ def rows(q: int) -> list[Row]:
     """All 2-subsets of {0, ..., q} in lexicographic order."""
     check_q(q)
     return [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
-
-
-def row_index(q: int, i: int, j: int) -> int:
-    """Position of the row {i, j} (i < j) in ``rows(q)``, in O(1)."""
-    if not 0 <= i < j <= q:
-        raise BoardError(f"row ({i},{j}) is not on the {q}-board")
-    return i * q - i * (i - 1) // 2 + j - i - 1
 
 
 def validate_cell(q: int, cell: Cell) -> None:
@@ -154,18 +147,7 @@ class CountingSummary:
     z: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "q": self.q,
-            "rows": self.rows,
-            "cols": self.cols,
-            "one_edges": self.one_edges,
-            "available": self.available,
-            "full": self.full,
-            "nondeg": self.nondeg,
-            "row_deg": self.row_deg,
-            "col_deg": self.col_deg,
-            "z": self.z,
-        }
+        return asdict(self)
 
 
 def counting_summary(q: int) -> CountingSummary:

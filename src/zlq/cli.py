@@ -65,6 +65,13 @@ def _load_family(path: str) -> Family:
         raise _CliError(2, "parse", f"{path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(2, "io", f"cannot write {path}: {exc}") from None
+
+
 class _CliError(Exception):
     def __init__(self, code: int, kind: str, message: str):
         super().__init__(message)
@@ -101,7 +108,6 @@ def _cmd_solve_exact(args) -> int:
         symmetry=args.symmetry,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        order=args.order,
         canonical_certificate=args.canonical_certificate,
     )
     m = result.q * (result.q + 1) // 2
@@ -111,6 +117,10 @@ def _cmd_solve_exact(args) -> int:
         f"{result.status} |E2|={result.size}, z_L({m},{n})={result.z_value}"
         f" [{result.nodes} nodes, {result.elapsed:.2f}s]",
     )
+    if args.out:
+        _write(args.out, serialize_family(result.certificate))
+    if args.log:
+        _write(args.log, "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.events))
     _emit(
         {
             "status": result.status,
@@ -124,12 +134,6 @@ def _cmd_solve_exact(args) -> int:
             "orbit_count": result.orbit_count,
         }
     )
-    if args.out:
-        Path(args.out).write_text(serialize_family(result.certificate), encoding="utf-8")
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as handle:
-            for event in result.events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
     return 0 if result.optimal else 1
 
 
@@ -143,16 +147,15 @@ def _cmd_search(args) -> int:
         time_limit=args.time_limit,
         improve_passes=args.improve_passes,
         delete_width=args.delete_width,
-        width2_samples=args.width2_samples,
         warm_start=warm,
     )
     try:
         result = run_search(config, progress=_progress(args.quiet))
     except ValueError as exc:
         raise _CliError(2, "config", str(exc)) from None
-    print(result.summary_json())
     if args.out:
-        Path(args.out).write_text(serialize_family(result.best), encoding="utf-8")
+        _write(args.out, serialize_family(result.best))
+    print(result.summary_json())
     return 0
 
 
@@ -168,15 +171,15 @@ def _cmd_lift(args) -> int:
         oracle_node_limit=args.node_limit,
         progress=_progress(args.quiet),
     )
-    print(report.summary_json())
     if args.out:
-        Path(args.out).write_text(serialize_family(report.family), encoding="utf-8")
+        _write(args.out, serialize_family(report.family))
+    print(report.summary_json())
     return 0
 
 
 def _cmd_export_ilp(args) -> int:
     model = build_model(args.q, mode=args.mode, prune_static=args.prune)
-    Path(args.out).write_text(export_lp(model), encoding="utf-8")
+    _write(args.out, export_lp(model))
     counts = model.counts()
     _emit(
         {
@@ -203,6 +206,8 @@ def _cmd_import_solution(args) -> int:
     except SolutionFormatError as exc:
         raise _CliError(2, "parse", str(exc)) from None
     imported = import_solution(model, values)
+    if args.out:
+        _write(args.out, serialize_family(imported.family))
     _emit(
         {
             "q": model.q,
@@ -214,8 +219,6 @@ def _cmd_import_solution(args) -> int:
             "consistent": imported.consistent,
         }
     )
-    if args.out:
-        Path(args.out).write_text(serialize_family(imported.family), encoding="utf-8")
     return 0 if imported.ilp_feasible and imported.verifier.ok else 1
 
 
@@ -393,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict first-level branching to orbit representatives")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--order", choices=["conflicts", "canonical"], default="conflicts")
     p.add_argument("--canonical-certificate", action="store_true",
                    help="report the lexicographically smallest optimal family")
     p.add_argument("--out", help="write the certificate family file here")
@@ -409,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--improve-passes", type=int, default=2)
     p.add_argument("--delete-width", type=int, choices=[1, 2], default=1)
-    p.add_argument("--width2-samples", type=int, default=64)
     p.add_argument("--warm-start", help="family file to start every restart from")
     p.add_argument("--out", help="write the best family file here")
     add_quiet(p)

@@ -2,9 +2,10 @@
 
 Admissibility is hereditary (every subset of an admissible family is
 admissible), so a depth-first enumeration over candidates in a fixed
-static order visits each admissible family exactly once: the families
-extending the current choice use only candidates later in the order that
-are pairwise compatible with everything chosen.  Pruning combines
+static order (most pairwise conflicts first) visits each admissible
+family exactly once: the families extending the current choice use only
+candidates later in the order that are pairwise compatible with
+everything chosen.  Pruning combines
 
 * a compatibility mask per candidate (pairs whose two-element family is
   already inadmissible can never coexist),
@@ -25,7 +26,6 @@ base, ``solve_extension`` over a frozen, verified base family.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -73,25 +73,34 @@ def apply_vertex_permutation(perm: tuple[int, ...], edge: TwoEdge) -> TwoEdge:
 def candidate_orbits(q: int, candidates: list[TwoEdge]) -> list[list[int]]:
     """Partition of candidate indices under the vertex-relabeling action.
 
-    The list must be closed under relabeling (the full and nondegenerate
-    candidate families are, as is any statically pruned subset of them).
+    Each orbit is the closure of its smallest index under the transposition
+    (0 1) and the cycle (0 1 ... q), which generate S_{q+1}, so the work is
+    linear in the number of candidates.  Orbits come in order of their
+    smallest index, members ascending.  The list must be closed under
+    relabeling (the full and nondegenerate candidate families are, as is
+    any statically pruned subset of them).
     """
+    n = q + 1
+    generators = ((1, 0, *range(2, n)), tuple((v + 1) % n for v in range(n)))
     index = {e: k for k, e in enumerate(candidates)}
-    perms = list(itertools.permutations(range(q + 1)))
     seen = [False] * len(candidates)
     orbits: list[list[int]] = []
     for k in range(len(candidates)):
         if seen[k]:
             continue
-        members = set()
-        for perm in perms:
-            image = apply_vertex_permutation(perm, candidates[k])
-            j = index.get(image)
-            if j is None:
-                raise ValueError("candidate list is not closed under vertex relabeling")
-            members.add(j)
-        for j in members:
-            seen[j] = True
+        seen[k] = True
+        members = [k]
+        stack = [k]
+        while stack:
+            edge = candidates[stack.pop()]
+            for perm in generators:
+                j = index.get(apply_vertex_permutation(perm, edge))
+                if j is None:
+                    raise ValueError("candidate list is not closed under vertex relabeling")
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    stack.append(j)
         orbits.append(sorted(members))
     return orbits
 
@@ -253,7 +262,6 @@ def _solve(
     candidates: list[TwoEdge],
     mode: Mode,
     symmetry: bool,
-    order: str,
     canonical_certificate: bool,
     node_limit: int | None,
     time_limit: float | None,
@@ -279,9 +287,7 @@ def _solve(
     pruned_static = len(candidates) - len(usable)
 
     conflicts_usable = pairwise_conflicts(q, usable, base, _deadline=deadline)
-    perm = list(range(len(usable)))
-    if order == "conflicts":
-        perm.sort(key=lambda k: -conflicts_usable[k].bit_count())
+    perm = sorted(range(len(usable)), key=lambda k: -conflicts_usable[k].bit_count())
     edges = [usable[k] for k in perm]
     coords = [usable_coords[k] for k in perm]
     nondeg = [usable_nondeg[k] for k in perm]
@@ -358,7 +364,6 @@ def solve_exact(
     symmetry: bool = False,
     node_limit: int | None = None,
     time_limit: float | None = None,
-    order: str = "conflicts",
     canonical_certificate: bool = False,
 ) -> ExactResult:
     """Exact maximum admissible family size over the candidate family.
@@ -366,21 +371,17 @@ def solve_exact(
     Returns status "optimal" only when the search tree was exhausted;
     exceeding the node or time budget downgrades the result to
     "incumbent".  The time budget covers the whole call, preprocessing
-    included (orbit enumeration under ``symmetry`` excepted).  The
-    certificate always passes the full verifier, and the optimal size is
-    independent of candidate order and of the symmetry flag.
+    included.  The certificate always passes the full verifier, and the
+    optimal size is independent of the symmetry flag.
     """
     start = time.monotonic()
     check_q(q)
     check_mode(mode)
-    if order not in ("conflicts", "canonical"):
-        raise ValueError(f"order must be 'conflicts' or 'canonical', got {order!r}")
     return _solve(
         Family.from_edges(q, []),
         candidate_family(q, mode),
         mode=mode,
         symmetry=symmetry,
-        order=order,
         canonical_certificate=canonical_certificate,
         node_limit=node_limit,
         time_limit=time_limit,
@@ -408,7 +409,6 @@ def solve_extension(
         candidates,
         mode="full",
         symmetry=False,
-        order="conflicts",
         canonical_certificate=False,
         node_limit=node_limit,
         time_limit=time_limit,

@@ -37,9 +37,6 @@ class ReferenceRow:
     z_limited: int  # value (exact) or best known lower bound
     exact: bool
 
-    def as_dict(self) -> dict:
-        return {"q": self.q, "z": self.z, "z_limited": self.z_limited, "exact": self.exact}
-
 
 def reference_table() -> tuple[ReferenceRow, ...]:
     """Small-parameter values: exact at q=3,4; lower bounds at q=5,6,7."""

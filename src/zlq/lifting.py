@@ -14,7 +14,7 @@ reported explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .board import TwoEdge, candidate_family, touches_vertex
 from .families import Family
@@ -36,16 +36,8 @@ class LiftReport:
     family: Family
 
     def summary_json(self) -> str:
-        payload = {
-            "from_q": self.from_q,
-            "to_q": self.to_q,
-            "base_size": self.base_size,
-            "target": self.target,
-            "achieved": self.achieved,
-            "met_target": self.met_target,
-            "bound": self.bound,
-            "oracle": self.oracle,
-        }
+        """Every field but the family, as compact sorted JSON."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

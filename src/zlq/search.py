@@ -25,6 +25,9 @@ from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
 
+# pairs tried per improvement pass when ``delete_width`` is 2
+_WIDTH2_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -45,7 +48,6 @@ class SearchConfig:
     time_limit: float | None = None
     improve_passes: int = 2
     delete_width: int = 1
-    width2_samples: int = 64
     warm_start: Family | None = None
     priority_vertex: int | None = None
 
@@ -60,8 +62,6 @@ class SearchConfig:
             raise ValueError("delete width must be 1 or 2")
         if self.improve_passes < 0:
             raise ValueError("improvement passes must be non-negative")
-        if self.width2_samples < 0:
-            raise ValueError("width-2 samples must be non-negative")
         if self.warm_start is not None:
             if self.warm_start.q != self.q:
                 raise ValueError("warm start family lives on a different board")
@@ -182,7 +182,6 @@ def _improve(
     stream: SplitMix64,
     passes: int,
     delete_width: int,
-    width2_samples: int,
     deadline: float | None,
 ) -> None:
     """Delete-and-repair until a pass yields no strictly larger family.
@@ -207,9 +206,11 @@ def _improve(
             state.put(e)
         return False
 
-    # repair pass with nothing deleted: maximality is order-relative, so a
-    # fresh order can still add edges (and makes improving an empty family
-    # coincide with a greedy fill)
+    # repair pass with nothing deleted.  After a complete first-fit pass
+    # the family is already maximal (admissibility is hereditary, so a
+    # candidate rejected against part of the family stays rejected), and
+    # the pass adds nothing; it fills ``local_improve`` inputs, and the
+    # shuffle keeps every restart's random stream where it has always been
     _fill(state, cands, cands.shuffled_order(stream))
     for _ in range(passes):
         improved = False
@@ -226,7 +227,7 @@ def _improve(
                 for b in range(a + 1, len(snapshot))
             ]
             stream.shuffle(pairs)
-            for e1, e2 in pairs[:width2_samples]:
+            for e1, e2 in pairs[:_WIDTH2_SAMPLES]:
                 if expired():
                     return
                 if e1 in state.edges and e2 in state.edges and attempt([e1, e2]):
@@ -247,15 +248,7 @@ def local_improve(family: Family, config: SearchConfig, stream: SplitMix64 | Non
         stream = derive_stream(config.seed, 1 << 32)  # reserved improvement lane
     cands = _Candidates(config.q, config.mode, config.priority_vertex)
     state = _State(config.q, family)
-    _improve(
-        state,
-        cands,
-        stream,
-        config.improve_passes,
-        config.delete_width,
-        config.width2_samples,
-        None,
-    )
+    _improve(state, cands, stream, config.improve_passes, config.delete_width, None)
     return state.family()
 
 
@@ -268,15 +261,7 @@ def _one_restart(
     stream = derive_stream(config.seed, index)
     state = _State(config.q, config.warm_start)
     _fill(state, cands, cands.shuffled_order(stream))
-    _improve(
-        state,
-        cands,
-        stream,
-        config.improve_passes,
-        config.delete_width,
-        config.width2_samples,
-        deadline,
-    )
+    _improve(state, cands, stream, config.improve_passes, config.delete_width, deadline)
     return tuple(state.edges)
 
 

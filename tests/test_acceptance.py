@@ -164,7 +164,7 @@ def test_criterion_7b_incremental_equals_full():
         e = random_edge(rng, q)
         if e in fam.edges:
             continue
-        fast = incremental_check(board, fam, e)
+        fast = incremental_check(board, e)
         full = verify(Family.from_edges(q, list(fam.edges) + [e])).ok
         assert fast == full, f"incremental/full mismatch at q={q}: {fam.edges} + {e}"
         checked += 1

@@ -14,6 +14,7 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import (
+    FREE,
     ONE_EDGE,
     ScratchBoard,
     cell_claims,
@@ -22,7 +23,7 @@ from zlq.admissibility import (
     static_prune_flags,
     witness_set,
 )
-from zlq.board import NONDEGENERATE, candidate_family
+from zlq.board import NONDEGENERATE, candidate_family, rows
 from zlq.fixtures import REFERENCE_QS, reference_family
 
 from conftest import random_edge, random_subfamily
@@ -211,8 +212,8 @@ def test_monotone_violation():
 def test_incremental_check_examples():
     fam = Family.from_edges(3, [((0, 1, 2), (0, 3, 1))])
     board = build_board(3, fam)
-    assert incremental_check(board, fam, make_edge((1, 3, 2), (2, 3, 0)))
-    assert not incremental_check(board, fam, make_edge((0, 1, 2), (1, 3, 0)))
+    assert incremental_check(board, make_edge((1, 3, 2), (2, 3, 0)))
+    assert not incremental_check(board, make_edge((0, 1, 2), (1, 3, 0)))
 
 
 def test_incremental_check_agrees_with_full_verifier():
@@ -225,7 +226,7 @@ def test_incremental_check_agrees_with_full_verifier():
         if e in fam.edges:
             continue
         full = verify(Family.from_edges(q, list(fam.edges) + [e])).ok
-        assert incremental_check(board, fam, e) == full
+        assert incremental_check(board, e) == full
 
 
 def test_static_prune_flags():
@@ -266,6 +267,39 @@ def test_s_violations_are_the_shared_claims():
             assert board.owner_of(cell) == ks[0]
 
 
+def _dense_owners(q, edges):
+    """Owner per dense cell index, FREE / ONE_EDGE / first claimant, from a row table."""
+    board_rows = rows(q)
+    position = {r: k for k, r in enumerate(board_rows)}
+    n = q + 1
+    owners = [FREE] * (len(board_rows) * n)
+    for k, (i, j) in enumerate(board_rows):
+        owners[k * n + i] = ONE_EDGE
+        owners[k * n + j] = ONE_EDGE
+    for k, edge in enumerate(edges):
+        for i, j, c in edge:
+            dense = position[(i, j)] * n + c
+            if owners[dense] == FREE:
+                owners[dense] = k
+    return owners
+
+
+def test_board_owners_match_a_dense_array_oracle():
+    rng = random.Random(89)
+    for _ in range(200):
+        q = rng.choice([3, 4, 5])
+        edges = [random_edge(rng, q) for _ in range(rng.randint(0, 8))]
+        if edges and rng.random() < 0.3:
+            edges.append(rng.choice(edges))  # a doubled edge
+        edges.sort()
+        board = build_board(q, Family(q=q, edges=tuple(edges)))
+        owners = _dense_owners(q, edges)
+        cells = [(i, j, c) for i, j in rows(q) for c in range(q + 1)]
+        assert [board.owner_of(cell) for cell in cells] == owners
+        one, free = owners.count(ONE_EDGE), owners.count(FREE)
+        assert board.counts() == {"one_edge": one, "free": free, "used": len(owners) - one - free}
+
+
 def test_over_and_fitting_keep_what_verifies_with_the_base():
     rng = random.Random(83)
     for q in (3, 4):
@@ -287,8 +321,9 @@ def test_scratch_board_roundtrip():
     s = ScratchBoard(3)
     coords = s.coords(((0, 1, 2), (0, 3, 1)))
     before = (list(s.col_masks), list(s.row_masks), s.free_cells)
+    assert s.cells_free(*coords)
     s.place(*coords)
-    assert s.occupied(coords[0], coords[1])
+    assert not s.cells_free(*coords)
     s.unplace(*coords)
     assert (list(s.col_masks), list(s.row_masks), s.free_cells) == before
 

@@ -16,7 +16,6 @@ from zlq.board import (
     NONDEGENERATE,
     ROW_DEGENERATE,
     iter_candidate_family,
-    row_index,
     validate_cell,
 )
 
@@ -30,10 +29,6 @@ def test_rows_lexicographic_and_q2():
     assert rows(2) == [(0, 1), (0, 2), (1, 2)]
     r = rows(5)
     assert r == sorted(r)
-    for q in range(2, 8):
-        assert [row_index(q, i, j) for i, j in rows(q)] == list(range(len(rows(q))))
-    with pytest.raises(BoardError):
-        row_index(3, 2, 2)
 
 
 def test_rows_rejects_small_q():

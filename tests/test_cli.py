@@ -58,6 +58,8 @@ def test_usage_error_exits_2(capsys):
         (["search", "--q", "3", "--threads", "2"], "unrecognized arguments"),
         (["lift", "--input", "f", "--threads", "2"], "unrecognized arguments"),
         (["repro", "--threads", "1"], "unrecognized arguments"),
+        (["solve-exact", "--q", "3", "--order", "canonical"], "unrecognized arguments"),
+        (["search", "--q", "4", "--width2-samples", "8"], "unrecognized arguments"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -146,17 +148,6 @@ def test_search_rejects_mismatched_warm_start(tmp_path, capsys):
     assert json.loads(err)["error"] == "config"
 
 
-def test_search_rejects_negative_width2_samples(capsys):
-    code, out, err = run_cli(
-        capsys, "search", "--q", "4", "--delete-width", "2", "--width2-samples", "-3", "--quiet"
-    )
-    assert code == 2
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "config"
-    assert "width-2 samples" in payload["message"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -237,6 +228,32 @@ def test_import_solution_incomplete_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-exact", "--q", "3", "--quiet", "--out"],
+        ["solve-exact", "--q", "3", "--quiet", "--log"],
+        ["search", "--q", "3", "--restarts", "1", "--quiet", "--out"],
+        ["lift", "--input", "{family}", "--restarts", "1", "--quiet", "--out"],
+        ["export-ilp", "--q", "3", "--out"],
+        ["import-solution", "--model-q", "3", "--solution", "{solution}", "--out"],
+    ],
+    ids=["solve-exact-out", "solve-exact-log", "search", "lift", "export-ilp", "import-solution"],
+)
+def test_output_file_errors_exit_2_before_any_stdout(tmp_path, capsys, argv):
+    model = build_model(3, "full")
+    values = family_to_assignment(model, reference_family(3))
+    solution = tmp_path / "sol.txt"
+    solution.write_text("".join(f"{n} {v}\n" for n, v in zip(model.var_names, values)))
+    paths = {"{family}": str(write_family(tmp_path, 3)), "{solution}": str(solution)}
+    missing = tmp_path / "missing" / "dir" / "file"
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv], str(missing))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "io" and str(missing) in payload["message"]
 
 
 def test_families_listing_and_emit(capsys):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from zlq import Family, pairwise_conflicts, solve_exact, upper_bound, verify
+from zlq.admissibility import ScratchBoard
 from zlq.board import candidate_family
 from zlq.exact import (
     apply_vertex_permutation,
@@ -39,7 +40,6 @@ def test_q3_optimum_independent_of_flags():
     sizes = {
         solve_exact(3, symmetry=False).size,
         solve_exact(3, symmetry=True).size,
-        solve_exact(3, order="canonical").size,
         solve_exact(3, canonical_certificate=True).size,
         solve_exact(3, mode="full").size,
     }
@@ -127,6 +127,32 @@ def test_orbits_partition_the_candidates():
         assert orbit_of[index[image]] == orbit_of[k]
 
 
+def _orbits_by_permutation(q, candidates):
+    """Definition-level oracle: apply every permutation of {0, ..., q}."""
+    index = {e: k for k, e in enumerate(candidates)}
+    perms = list(itertools.permutations(range(q + 1)))
+    seen = set()
+    orbits = []
+    for k, edge in enumerate(candidates):
+        if k in seen:
+            continue
+        members = {index[apply_vertex_permutation(perm, edge)] for perm in perms}
+        seen |= members
+        orbits.append(sorted(members))
+    return orbits
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_generator_closure_orbits_match_the_full_permutation_action(q):
+    for mode in ("full", "nondeg"):
+        cands = candidate_family(q, mode)
+        usable = ScratchBoard(q).fitting(cands, [])[0]  # the list the solver passes
+        for lst in (cands, usable):
+            assert candidate_orbits(q, lst) == _orbits_by_permutation(q, lst)
+    with pytest.raises(ValueError, match="not closed"):
+        candidate_orbits(q, candidate_family(q)[1:])
+
+
 def test_symmetry_flag_preserves_the_optimum():
     plain = solve_exact(3, symmetry=False)
     reduced = solve_exact(3, symmetry=True)
@@ -166,6 +192,12 @@ def test_time_limit_covers_preprocessing():
     result = solve_exact(6, time_limit=1.0)
     assert time.monotonic() - start < 5.0
     assert result.status == "incumbent"
+    assert verify(result.certificate).ok and result.size >= 1
+    # the orbits of the 31,626 q=8 candidates are built inside the budget too
+    start = time.monotonic()
+    result = solve_exact(8, symmetry=True, time_limit=1.0)
+    assert time.monotonic() - start < 2.5
+    assert result.status == "incumbent" and result.orbit_count is not None
     assert verify(result.certificate).ok and result.size >= 1
 
 

@@ -18,6 +18,7 @@ from zlq import (
 )
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
+from zlq.lifting import embed
 from zlq.rng import SplitMix64, derive_stream, mix64
 
 from conftest import family_sha256
@@ -259,9 +260,6 @@ def test_config_validation():
     assert verify(degenerate).ok
     with pytest.raises(ValueError):
         SearchConfig(q=4, mode="nondeg", warm_start=degenerate).validate()
-    with pytest.raises(ValueError, match="width-2 samples"):
-        SearchConfig(q=4, delete_width=2, width2_samples=-1).validate()
-    SearchConfig(q=4, delete_width=2, width2_samples=0).validate()
     with pytest.raises(ValueError, match="time limit"):
         SearchConfig(q=4, time_limit=-1).validate()
     SearchConfig(q=4, time_limit=0).validate()
@@ -279,10 +277,21 @@ def test_local_improve_checks_its_input_like_a_warm_start():
         local_improve(degenerate, SearchConfig(q=4, mode="nondeg"))
 
 
+@pytest.mark.parametrize("q, priority_vertex", [(4, None), (5, None), (6, None), (6, 6)])
+def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
+    # hereditarity: a candidate rejected against part of the family stays
+    # rejected, so the repair pass of a restart never adds an edge
+    base = None if priority_vertex is None else embed(reference_family(q - 1))
+    cands = zlq.search._Candidates(q, "full", priority_vertex)
+    for seed in range(3):
+        stream = derive_stream(seed, 0)
+        state = zlq.search._State(q, base)
+        assert zlq.search._fill(state, cands, cands.shuffled_order(stream))
+        assert zlq.search._fill(state, cands, cands.shuffled_order(stream)) == []
+
+
 def test_width_two_improvement_runs():
-    result = run_search(
-        SearchConfig(q=4, seed=11, restarts=2, delete_width=2, width2_samples=16)
-    )
+    result = run_search(SearchConfig(q=4, seed=11, restarts=2, delete_width=2))
     assert verify(result.best).ok
     assert result.best_size >= 4
 
