@@ -30,7 +30,7 @@ from .admissibility import (
 )
 from .ilp import IlpModel, build_model, export_lp, import_solution
 from .exact import ExactResult, pairwise_conflicts, solve_exact, upper_bound
-from .search import SearchConfig, SearchResult, greedy_fill, local_improve, run_search
+from .search import SearchConfig, SearchResult, run_search
 from .lifting import LiftReport, embed, lift_extend
 from .recognition import (
     BipartiteGraph,
@@ -76,14 +76,12 @@ __all__ = [
     "embed",
     "export_lp",
     "gap_ratio",
-    "greedy_fill",
     "import_solution",
     "incidence_graph",
     "incremental_check",
     "is_c4_free",
     "k4t_bound",
     "lift_extend",
-    "local_improve",
     "make_edge",
     "pairwise_conflicts",
     "parse_family",

@@ -48,6 +48,7 @@ from .board import (
     TwoEdge,
     check_q,
     classify,
+    make_edge,
     rows,
     validate_cell,
 )
@@ -405,8 +406,10 @@ def incremental_check(board: Board, edge: TwoEdge) -> bool:
     Equivalent, by tested contract, to running the full verifier on the
     extended family: the edge's own cells must be free, its own rules must
     hold, and every existing edge is re-examined because the two new cells
-    may complete a pattern for it.  The board is not mutated.
+    may complete a pattern for it.  The board is not mutated.  An edge
+    that is not on the board raises ``BoardError``.
     """
+    edge = make_edge(*edge, q=board.q)
     if board.s_violations:
         return False
     scratch, placed = ScratchBoard.over(board.q, board.family.edges)

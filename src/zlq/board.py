@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Iterator, Literal
+from typing import Literal
 
 Row = tuple[int, int]
 Cell = tuple[int, int, int]  # (i, j, c): row {i, j} with i < j, column c
@@ -108,27 +108,22 @@ def touches_vertex(edge: TwoEdge, v: int) -> bool:
     return v in (i1, j1, c1, i2, j2, c2)
 
 
-def iter_candidate_family(q: int, mode: Mode = "full") -> Iterator[TwoEdge]:
-    """Stream the candidate 2-edges in canonical order.
+def candidate_family(q: int, mode: Mode = "full") -> list[TwoEdge]:
+    """The candidate 2-edges in canonical order.
 
-    "full" yields every unordered pair of distinct available cells,
+    "full" lists every unordered pair of distinct available cells,
     "nondeg" only those whose halves differ in both row and column.
     """
     check_q(q)
     check_mode(mode)
     cells = available_cells(q)
     nondeg_only = mode == "nondeg"
-    for a_idx, a in enumerate(cells):
-        i1, j1, c1 = a
-        for b in cells[a_idx + 1 :]:
-            i2, j2, c2 = b
-            if nondeg_only and ((i1, j1) == (i2, j2) or c1 == c2):
-                continue
-            yield (a, b)
-
-
-def candidate_family(q: int, mode: Mode = "full") -> list[TwoEdge]:
-    return list(iter_candidate_family(q, mode))
+    return [
+        (a, b)
+        for k, a in enumerate(cells)
+        for b in cells[k + 1 :]
+        if not nondeg_only or ((a[0] != b[0] or a[1] != b[1]) and a[2] != b[2])
+    ]
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,13 @@ def _load_family(path: str) -> Family:
         raise _CliError(2, "parse", f"{path}: {exc}") from None
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any work when an ``--out`` or ``--log`` directory is missing."""
+    for path in (getattr(args, "out", None), getattr(args, "log", None)):
+        if path and not Path(path).parent.is_dir():
+            raise _CliError(2, "io", f"cannot write {path}: no such directory")
+
+
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -145,7 +152,6 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
         time_limit=args.time_limit,
-        improve_passes=args.improve_passes,
         delete_width=args.delete_width,
         warm_start=warm,
     )
@@ -165,7 +171,6 @@ def _cmd_lift(args) -> int:
         family,
         seed=args.seed,
         restarts=args.restarts,
-        improve_passes=args.improve_passes,
         delete_width=args.delete_width,
         oracle_on_shortfall=not args.no_oracle,
         oracle_node_limit=args.node_limit,
@@ -409,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--mode", choices=["full", "nondeg"], default="full")
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--improve-passes", type=int, default=2)
     p.add_argument("--delete-width", type=int, choices=[1, 2], default=1)
     p.add_argument("--warm-start", help="family file to start every restart from")
     p.add_argument("--out", help="write the best family file here")
@@ -421,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--improve-passes", type=int, default=2)
     p.add_argument("--delete-width", type=int, choices=[1, 2], default=2)
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the exact sub-solve when the target is missed")
@@ -473,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output_dirs(args)
         return args.func(args)
     except _CliError as exc:
         _stderr_json(exc.kind, str(exc))

@@ -276,7 +276,7 @@ def _solve(
     """
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node limit must be non-negative, got {node_limit}")
-    if time_limit is not None and time_limit < 0:
+    if time_limit is not None and not time_limit >= 0:  # false for NaN
         raise ValueError(f"time limit must be non-negative, got {time_limit}")
     q = base.q
     deadline = None if time_limit is None else start + time_limit

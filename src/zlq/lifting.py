@@ -64,7 +64,6 @@ def lift_extend(
     family: Family,
     seed: int = 0,
     restarts: int = 16,
-    improve_passes: int = 2,
     delete_width: int = 2,
     oracle_on_shortfall: bool = True,
     oracle_node_limit: int | None = 20_000_000,
@@ -88,7 +87,6 @@ def lift_extend(
         mode="full",
         seed=seed,
         restarts=restarts,
-        improve_passes=improve_passes,
         delete_width=delete_width,
         warm_start=base,
         priority_vertex=base.q,

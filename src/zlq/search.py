@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .board import (
@@ -25,7 +25,9 @@ from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
 
-# pairs tried per improvement pass when ``delete_width`` is 2
+# delete-and-repair passes per restart, and pairs tried per pass when
+# ``delete_width`` is 2
+_IMPROVE_PASSES = 2
 _WIDTH2_SAMPLES = 64
 
 
@@ -46,7 +48,6 @@ class SearchConfig:
     seed: int = 0
     restarts: int = 8
     time_limit: float | None = None
-    improve_passes: int = 2
     delete_width: int = 1
     warm_start: Family | None = None
     priority_vertex: int | None = None
@@ -56,12 +57,10 @@ class SearchConfig:
         check_mode(self.mode)
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
-        if self.time_limit is not None and self.time_limit < 0:
+        if self.time_limit is not None and not self.time_limit >= 0:  # false for NaN
             raise ValueError("time limit must be non-negative")
         if self.delete_width not in (1, 2):
             raise ValueError("delete width must be 1 or 2")
-        if self.improve_passes < 0:
-            raise ValueError("improvement passes must be non-negative")
         if self.warm_start is not None:
             if self.warm_start.q != self.q:
                 raise ValueError("warm start family lives on a different board")
@@ -159,32 +158,14 @@ def _fill(state: _State, cands: _Candidates, order: Sequence[int]) -> list[TwoEd
     return added
 
 
-def greedy_fill(start: Family, order: Sequence[TwoEdge]) -> Family:
-    """Insert, in the given order, every candidate that keeps admissibility.
-
-    The start family must verify; the result is admissible and maximal
-    with respect to the scanned order.
-    """
-    if not verify(start).ok:
-        raise ValueError("start family fails verification")
-    state = _State(start.q, start)
-    edges = list(order)
-    coords = [state.scratch.coords(e) for e in edges]
-    nondeg = [classify(e) == NONDEGENERATE for e in edges]
-    accepted = state.scratch.first_fit(range(len(edges)), coords, nondeg, state.placed)
-    state.edges.extend(edges[k] for k in accepted)
-    return state.family()
-
-
 def _improve(
     state: _State,
     cands: _Candidates,
     stream: SplitMix64,
-    passes: int,
     delete_width: int,
     deadline: float | None,
 ) -> None:
-    """Delete-and-repair until a pass yields no strictly larger family.
+    """Up to ``_IMPROVE_PASSES`` delete-and-repair passes; stops after one that gains nothing.
 
     Once ``deadline`` (a ``time.monotonic`` value, or None for no limit)
     has passed, no further attempt starts and the current family stands.
@@ -209,10 +190,10 @@ def _improve(
     # repair pass with nothing deleted.  After a complete first-fit pass
     # the family is already maximal (admissibility is hereditary, so a
     # candidate rejected against part of the family stays rejected), and
-    # the pass adds nothing; it fills ``local_improve`` inputs, and the
-    # shuffle keeps every restart's random stream where it has always been
+    # the pass adds nothing (test_a_complete_first_fit_pass_leaves_nothing_to_add);
+    # it stays only so its shuffle keeps every restart's random stream in place
     _fill(state, cands, cands.shuffled_order(stream))
-    for _ in range(passes):
+    for _ in range(_IMPROVE_PASSES):
         improved = False
         for e in list(state.edges):
             if expired():
@@ -236,22 +217,6 @@ def _improve(
             break
 
 
-def local_improve(family: Family, config: SearchConfig, stream: SplitMix64 | None = None) -> Family:
-    """Delete-and-repair local improvement; never returns a smaller family.
-
-    The family is checked as a warm start of ``config`` would be: same
-    board, passes ``verify``, nondegenerate in nondeg mode.  Uses a
-    reserved sub-stream of the config seed unless one is supplied.
-    """
-    replace(config, warm_start=family).validate()
-    if stream is None:
-        stream = derive_stream(config.seed, 1 << 32)  # reserved improvement lane
-    cands = _Candidates(config.q, config.mode, config.priority_vertex)
-    state = _State(config.q, family)
-    _improve(state, cands, stream, config.improve_passes, config.delete_width, None)
-    return state.family()
-
-
 def _one_restart(
     config: SearchConfig,
     cands: _Candidates,
@@ -261,7 +226,7 @@ def _one_restart(
     stream = derive_stream(config.seed, index)
     state = _State(config.q, config.warm_start)
     _fill(state, cands, cands.shuffled_order(stream))
-    _improve(state, cands, stream, config.improve_passes, config.delete_width, deadline)
+    _improve(state, cands, stream, config.delete_width, deadline)
     return tuple(state.edges)
 
 

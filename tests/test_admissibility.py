@@ -11,6 +11,7 @@ from zlq import (
     classify,
     incremental_check,
     make_edge,
+    solve_exact,
     verify,
 )
 from zlq.admissibility import (
@@ -25,6 +26,7 @@ from zlq.admissibility import (
 )
 from zlq.board import NONDEGENERATE, candidate_family, rows
 from zlq.fixtures import REFERENCE_QS, reference_family
+from zlq.rng import derive_stream
 
 from conftest import random_edge, random_subfamily
 
@@ -214,6 +216,15 @@ def test_incremental_check_examples():
     board = build_board(3, fam)
     assert incremental_check(board, make_edge((1, 3, 2), (2, 3, 0)))
     assert not incremental_check(board, make_edge((0, 1, 2), (1, 3, 0)))
+
+
+def test_incremental_check_rejects_an_edge_off_the_board():
+    board = build_board(3, reference_family(3))
+    edge = make_edge((0, 1, 2), (4, 5, 0))  # fine on q=5, off the q=3 board
+    with pytest.raises(BoardError):
+        check_C3(board, edge)
+    with pytest.raises(BoardError, match="row pair"):
+        incremental_check(board, edge)
 
 
 def test_incremental_check_agrees_with_full_verifier():
@@ -447,6 +458,44 @@ def test_first_fit_matches_insertion_loop_large():
             order = list(range(len(cands)))
             rng.shuffle(order)
             _assert_first_fit_matches_loop(q, base, cands, order)
+
+
+def _first_fit_family(q, base, order):
+    """``base`` plus what ``first_fit`` accepts from the 2-edges in ``order``."""
+    scratch, placed = ScratchBoard.over(q, base.edges)
+    coords = [scratch.coords(e) for e in order]
+    nondeg = [classify(e) == NONDEGENERATE for e in order]
+    accepted = scratch.first_fit(range(len(order)), coords, nondeg, placed)
+    return Family.from_edges(q, list(base.edges) + [order[k] for k in accepted])
+
+
+def test_first_fit_from_empty_always_inserts():
+    empty = Family.from_edges(3, [])
+    for seed in range(5):
+        order = candidate_family(3, "full")
+        derive_stream(seed, 0).shuffle(order)
+        filled = _first_fit_family(3, empty, order)
+        assert len(filled) >= 1
+        assert verify(filled).ok
+
+
+def test_first_fit_any_order_and_its_reverse_verify():
+    empty = Family.from_edges(3, [])
+    order = candidate_family(3, "full")
+    derive_stream(0, 0).shuffle(order)
+    forward = _first_fit_family(3, empty, order)
+    backward = _first_fit_family(3, empty, list(reversed(order)))
+    assert verify(forward).ok and verify(backward).ok
+    assert len(forward) >= 1 and len(backward) >= 1
+
+
+def test_an_optimal_family_admits_nothing():
+    for optimum in (solve_exact(3).certificate, reference_family(4)):
+        q = optimum.q
+        cands = candidate_family(q, "full")
+        scratch, placed = ScratchBoard.over(q, optimum.edges)
+        assert scratch.fitting(cands, placed) == ([], [], [])
+        assert _first_fit_family(q, optimum, cands) == optimum
 
 
 def test_insertion_ok_leaves_the_board_unchanged():

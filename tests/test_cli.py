@@ -60,6 +60,8 @@ def test_usage_error_exits_2(capsys):
         (["repro", "--threads", "1"], "unrecognized arguments"),
         (["solve-exact", "--q", "3", "--order", "canonical"], "unrecognized arguments"),
         (["search", "--q", "4", "--width2-samples", "8"], "unrecognized arguments"),
+        (["search", "--q", "4", "--improve-passes", "1"], "unrecognized arguments"),
+        (["lift", "--input", "f", "--improve-passes", "1"], "unrecognized arguments"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -154,6 +156,8 @@ def test_search_rejects_mismatched_warm_start(tmp_path, capsys):
         ["search", "--q", "4", "--time-limit", "-1"],
         ["solve-exact", "--q", "3", "--node-limit", "-5"],
         ["solve-exact", "--q", "3", "--time-limit", "-1"],
+        ["search", "--q", "3", "--time-limit", "nan"],
+        ["solve-exact", "--q", "3", "--time-limit", "nan"],
         ["lift", "--node-limit", "-5"],
     ],
 )
@@ -242,12 +246,19 @@ def test_import_solution_incomplete_exits_2(tmp_path, capsys):
     ],
     ids=["solve-exact-out", "solve-exact-log", "search", "lift", "export-ilp", "import-solution"],
 )
-def test_output_file_errors_exit_2_before_any_stdout(tmp_path, capsys, argv):
+def test_output_file_errors_exit_2_before_any_stdout(tmp_path, capsys, monkeypatch, argv):
     model = build_model(3, "full")
     values = family_to_assignment(model, reference_family(3))
     solution = tmp_path / "sol.txt"
     solution.write_text("".join(f"{n} {v}\n" for n, v in zip(model.var_names, values)))
     paths = {"{family}": str(write_family(tmp_path, 3)), "{solution}": str(solution)}
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the computation ran before the output path was checked")
+
+    # the missing directory is reported before any work starts
+    for name in ("solve_exact", "run_search", "lift_extend", "build_model"):
+        monkeypatch.setattr(f"zlq.cli.{name}", must_not_run)
     missing = tmp_path / "missing" / "dir" / "file"
     code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv], str(missing))
     assert code == 2

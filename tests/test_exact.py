@@ -202,7 +202,7 @@ def test_time_limit_covers_preprocessing():
 
 
 def test_negative_budgets_are_rejected():
-    for kwargs in ({"node_limit": -5}, {"time_limit": -1.0}):
+    for kwargs in ({"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}):
         with pytest.raises(ValueError, match="must be non-negative"):
             solve_exact(3, **kwargs)
         with pytest.raises(ValueError, match="must be non-negative"):
@@ -211,6 +211,7 @@ def test_negative_budgets_are_rejected():
     result = solve_exact(3, node_limit=0)
     assert result.status == "incumbent" and verify(result.certificate).ok
     assert verify(solve_exact(3, time_limit=0.0).certificate).ok
+    assert solve_exact(3, time_limit=float("inf")).optimal
 
 
 def test_extension_solver_rejects_bad_base():
