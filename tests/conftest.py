@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite: brute-force oracles and samplers."""
+"""Shared helpers for the test suite: brute-force oracles, samplers and pinned data."""
 
 from __future__ import annotations
 
@@ -49,3 +49,14 @@ def random_family(rng: random.Random, q: int, max_size: int) -> Family:
 def family_sha256(family: Family) -> str:
     """SHA-256 of a family's file form; pins a search path in one value."""
     return hashlib.sha256(serialize_family(family).encode()).hexdigest()
+
+
+# breaks S twice, C2 for edges 0 and 2, and C3 at two witnesses of edge 1
+S_C2_C3_FAMILY = "q 3\nedge 0 1 2 ; 0 3 1\nedge 0 1 2 ; 0 3 2\nedge 0 3 2 ; 1 2 3\n"
+S_C2_C3_REPORT = """\
+S cell=(0,1|2) edges=[0,1]
+S cell=(0,3|2) edges=[1,2]
+C2 edge=0 cells=(0,1|1),(0,3|2)
+C3 edge=1 witness=(0,2|0) cells=(0,2|0),(0,2|2),(0,2|2),(0,1|0),(0,3|0)
+C3 edge=1 witness=(1,2|1) cells=(1,2|1),(1,2|2),(1,2|2),(0,1|1),(0,3|1)
+C2 edge=2 cells=(0,3|3),(1,2|2)"""

@@ -25,10 +25,11 @@ from zlq.admissibility import (
     witness_set,
 )
 from zlq.board import NONDEGENERATE, candidate_family, rows
+from zlq.families import parse_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.rng import derive_stream
 
-from conftest import random_edge, random_subfamily
+from conftest import S_C2_C3_FAMILY, S_C2_C3_REPORT, random_edge, random_subfamily
 
 Q3_REFERENCE = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((1, 3, 2), (2, 3, 0))])
 
@@ -67,6 +68,13 @@ def test_build_board_rejects_a_half_on_a_1_edge_cell():
     fam = Family(q=3, edges=(((0, 1, 2), (0, 3, 1)), ((0, 1, 0), (2, 3, 1))))
     with pytest.raises(BoardError, match=r"claims the 1-edge cell \(0, 1, 0\)"):
         build_board(3, fam)
+
+
+def test_verify_report_lists_s_then_each_edge_in_order():
+    # S by cell, then per edge its C2 before its C3 in witness order
+    result = verify(parse_family(S_C2_C3_FAMILY))
+    assert not result.ok
+    assert result.report() == S_C2_C3_REPORT
 
 
 def test_c2_fires_on_background_occupancy():

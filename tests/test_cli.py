@@ -8,6 +8,8 @@ from zlq.fixtures import reference_family
 from zlq.ilp import build_model, family_to_assignment
 from zlq.recognition import incidence_graph
 
+from conftest import S_C2_C3_FAMILY, S_C2_C3_REPORT
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -34,6 +36,14 @@ def test_verify_fail_prints_report(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(bad), "--quiet")
     assert code == 1
     assert out.splitlines()[0] == "S cell=(0,1|2) edges=[0,1]"
+
+
+def test_verify_fail_prints_the_whole_report_in_order(tmp_path, capsys):
+    bad = tmp_path / "bad.zlq"
+    bad.write_text(S_C2_C3_FAMILY, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(bad), "--quiet")
+    assert code == 1
+    assert out == S_C2_C3_REPORT + "\n"
 
 
 def test_verify_parse_error_exits_2(tmp_path, capsys):
