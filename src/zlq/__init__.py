@@ -17,13 +17,9 @@ from .board import (
 )
 from .families import Family, FamilyFormatError, parse_family, serialize_family
 from .admissibility import (
-    Board,
     ScratchBoard,
     VerifyResult,
     Violation,
-    build_board,
-    check_C2,
-    check_C3,
     incremental_check,
     verify,
     witness_set,
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph",
-    "Board",
     "BoardError",
     "Cell",
     "CountingSummary",
@@ -66,11 +61,8 @@ __all__ = [
     "VerifyResult",
     "Violation",
     "available_cells",
-    "build_board",
     "build_model",
     "candidate_family",
-    "check_C2",
-    "check_C3",
     "classify",
     "counting_summary",
     "embed",

@@ -13,14 +13,13 @@ Three rules govern a family over the fixed 1-edge background:
 "Occupied" always includes the 1-edge cells, so a rule can fire against the
 background alone.  Each rule instance is defined once: simplicity by
 ``cell_claims``, the other two by ``corner_cells``, ``witness_set`` and
-``pattern_cells``; ``verify`` (through ``build_board``, ``check_C2`` and
-``check_C3``) and the ILP rows in ``ilp`` derive from these functions.  For
-a nondegenerate 2-edge the five pattern cells are automatically pairwise
-distinct (``pattern_cells`` asserts this, nothing re-filters); degenerate
-2-edges may have coincident pattern cells, and the pattern is a multiset.
-The verifier's ``Board`` stores only the family's ``cell_claims``; a
-cell's owner comes from them and from the 1-edge rule (the column lies in
-the row pair).
+``pattern_cells``; ``verify`` and the ILP rows in ``ilp`` derive from these
+functions.  For a nondegenerate 2-edge the five pattern cells are
+automatically pairwise distinct (``pattern_cells`` asserts this, nothing
+re-filters); degenerate 2-edges may have coincident pattern cells, and the
+pattern is a multiset.  ``verify`` is one loop over one occupancy view, the
+family's ``cell_claims``: a cell is occupied when it is a 1-edge cell (the
+column lies in the row pair) or some edge claims it.
 
 The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path used by
 search and the exact solver.  It tracks occupancy in two redundant bitset
@@ -53,10 +52,6 @@ from .board import (
     validate_cell,
 )
 from .families import Family
-
-FREE = -2
-ONE_EDGE = -1
-# owner values >= 0 are indices into the family's canonical edge order
 
 
 def _format_cell(cell: Cell) -> str:
@@ -118,7 +113,7 @@ class Violation:
     """One broken rule instance; the cells listed reproduce it in isolation."""
 
     kind: str  # "S" | "C2" | "C3"
-    edges: tuple[int, ...]  # canonical indices; -1 marks a proposed edge
+    edges: tuple[int, ...]  # positions in the family's edge order
     cells: tuple[Cell, ...]
     witness: tuple[Row, int] | None = None  # (x, y) for the five-cell rule
 
@@ -303,116 +298,66 @@ class ScratchBoard:
         return accepted
 
 
-@dataclass(frozen=True)
-class Board:
-    """Immutable occupancy snapshot of a family on its q-board."""
-
-    q: int
-    family: Family
-    claims: dict[Cell, list[int]]  # ``cell_claims`` of the family's edges
-    s_violations: tuple[Violation, ...]
-
-    def owner_of(self, cell: Cell) -> int:
-        """ONE_EDGE on a 1-edge cell, else the cell's first claimant, or FREE."""
-        i, j, c = cell
-        if c in (i, j):
-            return ONE_EDGE
-        claimants = self.claims.get(cell)
-        return FREE if claimants is None else claimants[0]
-
-    def counts(self) -> dict[str, int]:
-        m = self.q * (self.q + 1) // 2  # rows; each has two 1-edge cells
-        used = len(self.claims)
-        return {"one_edge": 2 * m, "free": m * (self.q - 1) - used, "used": used}
-
-
-def build_board(q: int, family: Family) -> Board:
-    """Occupancy of the 1-edge background plus every half of every edge.
-
-    Two edges claiming one cell is a simplicity violation, reported on the
-    board rather than raised; an edge half sitting on a 1-edge cell cannot
-    occur in a validated Family and is rejected as a structural error.
-    """
-    if family.q != q:
-        raise BoardError(f"family is on the {family.q}-board, expected q={q}")
+def _claims(family: Family) -> dict[Cell, list[int]]:
+    """The family's ``cell_claims``; a half on a 1-edge cell raises ``BoardError``."""
     claims = cell_claims(family.edges)
     for cell, claimants in claims.items():
         i, j, c = cell
         if c in (i, j):
             raise BoardError(f"edge {family.edges[claimants[0]]} claims the 1-edge cell {cell}")
-    s_violations = tuple(
-        Violation(kind="S", edges=tuple(claims[cell]), cells=(cell,))
-        for cell in sorted(claims)
-        if len(claims[cell]) > 1
-    )
-    return Board(q=q, family=family, claims=claims, s_violations=s_violations)
+    return claims
 
 
-def _edge_index(board: Board, edge: TwoEdge) -> int:
-    try:
-        return board.family.edges.index(edge)
-    except ValueError:
-        return -1  # proposed, not part of the board's family
-
-
-def _all_occupied(board: Board, cells: tuple[Cell, ...]) -> bool:
+def _all_occupied(claims: dict[Cell, list[int]], cells: tuple[Cell, ...]) -> bool:
+    """Every cell is a 1-edge cell or claimed by some edge."""
     for cell in cells:
-        if board.owner_of(cell) == FREE:
+        i, j, c = cell
+        if c != i and c != j and cell not in claims:
             return False
     return True
 
 
-def check_C2(board: Board, edge: TwoEdge) -> Violation | None:
-    """Opposite-corner violation for a nondegenerate edge, else None.
-
-    Degenerate edges never trigger this rule.  1-edge occupancy counts, so
-    an edge whose two opposite corners are both 1-edge cells is infeasible
-    on any board.
-    """
-    if classify(edge) != NONDEGENERATE:
-        return None
-    corners = corner_cells(edge)
-    if _all_occupied(board, corners):
-        return Violation(kind="C2", edges=(_edge_index(board, edge),), cells=corners)
-    return None
-
-
-def check_C3(board: Board, edge: TwoEdge) -> list[Violation]:
-    """All five-cell violations for this edge, one per witness, scan order."""
-    eidx = _edge_index(board, edge)
-    out = []
-    for witness in witness_set(edge, board.q):
-        cells = pattern_cells(edge, witness)
-        if _all_occupied(board, cells):
-            out.append(Violation(kind="C3", edges=(eidx,), cells=cells, witness=witness))
-    return out
-
-
 def verify(family: Family) -> VerifyResult:
-    """Full check of every rule over every edge; reports are exhaustive."""
-    board = build_board(family.q, family)
-    violations: list[Violation] = list(board.s_violations)
-    for edge in family.edges:
-        v2 = check_C2(board, edge)
-        if v2 is not None:
-            violations.append(v2)
-        violations.extend(check_C3(board, edge))
+    """Full check of every rule over every edge; reports are exhaustive.
+
+    Simplicity violations come first, by cell.  Then, edge by edge in
+    family order, the opposite-corner violation comes before the five-cell
+    violations in witness order.  Degenerate edges never break the
+    opposite-corner rule.
+    """
+    claims = _claims(family)
+    violations = [
+        Violation(kind="S", edges=tuple(claims[cell]), cells=(cell,))
+        for cell in sorted(claims)
+        if len(claims[cell]) > 1
+    ]
+    for k, edge in enumerate(family.edges):
+        if classify(edge) == NONDEGENERATE:
+            corners = corner_cells(edge)
+            if _all_occupied(claims, corners):
+                violations.append(Violation(kind="C2", edges=(k,), cells=corners))
+        for witness in witness_set(edge, family.q):
+            cells = pattern_cells(edge, witness)
+            if _all_occupied(claims, cells):
+                violations.append(Violation(kind="C3", edges=(k,), cells=cells, witness=witness))
     return VerifyResult(ok=not violations, violations=tuple(violations))
 
 
-def incremental_check(board: Board, edge: TwoEdge) -> bool:
-    """True iff the board's family plus ``edge`` stays admissible.
+def incremental_check(family: Family, edge: TwoEdge) -> bool:
+    """True iff ``family`` plus ``edge`` stays admissible.
 
     Equivalent, by tested contract, to running the full verifier on the
     extended family: the edge's own cells must be free, its own rules must
     hold, and every existing edge is re-examined because the two new cells
-    may complete a pattern for it.  The board is not mutated.  An edge
-    that is not on the board raises ``BoardError``.
+    may complete a pattern for it.  A family that already shares a cell
+    admits nothing.  An edge that is not on the family's board raises
+    ``BoardError``.
     """
-    edge = make_edge(*edge, q=board.q)
-    if board.s_violations:
+    claims = _claims(family)
+    edge = make_edge(*edge, q=family.q)
+    if any(len(claimants) > 1 for claimants in claims.values()):
         return False
-    scratch, placed = ScratchBoard.over(board.q, board.family.edges)
+    scratch, placed = ScratchBoard.over(family.q, family.edges)
     return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
 
 

@@ -45,6 +45,12 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def check_budget(name: str, value: float | None) -> None:
+    """Reject a negative or NaN node or time budget; None and inf mean no limit."""
+    if value is not None and not value >= 0:  # false for NaN
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def rows(q: int) -> list[Row]:
     """All 2-subsets of {0, ..., q} in lexicographic order."""
     check_q(q)

@@ -66,10 +66,12 @@ def _load_family(path: str) -> Family:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work when an ``--out`` or ``--log`` directory is missing."""
+    """Fail before any work when an ``--out`` or ``--log`` path has no directory or is one."""
     for path in (getattr(args, "out", None), getattr(args, "log", None)):
         if path and not Path(path).parent.is_dir():
             raise _CliError(2, "io", f"cannot write {path}: no such directory")
+        if path and Path(path).is_dir():
+            raise _CliError(2, "io", f"cannot write {path}: is a directory")
 
 
 def _write(path: str, text: str) -> None:
@@ -155,10 +157,7 @@ def _cmd_search(args) -> int:
         delete_width=args.delete_width,
         warm_start=warm,
     )
-    try:
-        result = run_search(config, progress=_progress(args.quiet))
-    except ValueError as exc:
-        raise _CliError(2, "config", str(exc)) from None
+    result = run_search(config, progress=_progress(args.quiet))
     if args.out:
         _write(args.out, serialize_family(result.best))
     print(result.summary_json())

@@ -29,7 +29,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .board import Mode, NONDEGENERATE, TwoEdge, check_mode, check_q, candidate_family, classify, make_edge
+from .board import (
+    Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
+    make_edge,
+)
 from .families import Family
 from .admissibility import ScratchBoard, verify
 
@@ -274,10 +277,8 @@ def _solve(
     under vertex relabeling.  Budgets count from ``start`` and must be
     non-negative.
     """
-    if node_limit is not None and node_limit < 0:
-        raise ValueError(f"node limit must be non-negative, got {node_limit}")
-    if time_limit is not None and not time_limit >= 0:  # false for NaN
-        raise ValueError(f"time limit must be non-negative, got {time_limit}")
+    check_budget("node limit", node_limit)
+    check_budget("time limit", time_limit)
     q = base.q
     deadline = None if time_limit is None else start + time_limit
     scratch, base_placed = ScratchBoard.over(q, base.edges)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .board import TwoEdge, candidate_family, touches_vertex
+from .board import TwoEdge, candidate_family, check_budget, touches_vertex
 from .families import Family
 from .admissibility import verify
 from .exact import solve_extension
@@ -75,11 +75,10 @@ def lift_extend(
     is set, an exact branch-and-bound over the new-vertex candidates (base
     frozen) decides whether the restricted extension can reach it.  The
     returned family always passes the full verifier and is never smaller
-    than the input.  A negative ``oracle_node_limit`` is rejected before
-    anything runs.
+    than the input.  A negative or NaN ``oracle_node_limit`` is rejected
+    before anything runs.
     """
-    if oracle_node_limit is not None and oracle_node_limit < 0:
-        raise ValueError(f"oracle node limit must be non-negative, got {oracle_node_limit}")
+    check_budget("oracle node limit", oracle_node_limit)
     base = embed(family)
     target = len(family) + family.q // 2
     config = SearchConfig(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .board import (
-    Mode, NONDEGENERATE, TwoEdge, candidate_family, check_mode, check_q, classify, touches_vertex
+    Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
+    touches_vertex,
 )
 from .families import Family
 from .admissibility import ScratchBoard, verify
@@ -57,8 +58,7 @@ class SearchConfig:
         check_mode(self.mode)
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
-        if self.time_limit is not None and not self.time_limit >= 0:  # false for NaN
-            raise ValueError("time limit must be non-negative")
+        check_budget("time limit", self.time_limit)
         if self.delete_width not in (1, 2):
             raise ValueError("delete width must be 1 or 2")
         if self.warm_start is not None:

@@ -5,9 +5,6 @@ import pytest
 from zlq import (
     Family,
     BoardError,
-    build_board,
-    check_C2,
-    check_C3,
     classify,
     incremental_check,
     make_edge,
@@ -15,8 +12,6 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import (
-    FREE,
-    ONE_EDGE,
     ScratchBoard,
     cell_claims,
     corner_cells,
@@ -34,40 +29,48 @@ from conftest import S_C2_C3_FAMILY, S_C2_C3_REPORT, random_edge, random_subfami
 Q3_REFERENCE = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((1, 3, 2), (2, 3, 0))])
 
 
-def test_build_board_empty_q3():
-    board = build_board(3, Family.from_edges(3, []))
-    assert board.counts() == {"one_edge": 12, "free": 12, "used": 0}
-    assert board.s_violations == ()
-    assert board.owner_of((0, 1, 0)) == ONE_EDGE
+def _rule_violations(family, edge, kind):
+    """The ``kind`` violations ``verify`` reports for ``edge`` appended to ``family``.
 
-
-def test_build_board_reference_q3():
-    board = build_board(3, Q3_REFERENCE)
-    assert board.counts()["used"] == 4
-    assert board.owner_of((0, 1, 2)) == 0
-    assert board.owner_of((2, 3, 0)) == 1
+    An edge's own cells never lie in its own corners or pattern cells, so
+    appending it changes nothing about its own rules.
+    """
+    extended = Family(q=family.q, edges=family.edges + (edge,))
+    position = (len(family),)
+    return [v for v in verify(extended).violations if v.kind == kind and v.edges == position]
 
 
 def test_build_board_reports_shared_half_as_simplicity_violation():
+    """A half shared by two edges is reported by ``verify`` as one S violation."""
     fam = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((0, 1, 2), (1, 3, 0))])
-    board = build_board(3, fam)
-    assert len(board.s_violations) == 1
-    v = board.s_violations[0]
+    result = verify(fam)
+    assert not result.ok
+    s_violations = [v for v in result.violations if v.kind == "S"]
+    assert len(s_violations) == 1
+    v = s_violations[0]
     assert v.kind == "S" and v.cells == ((0, 1, 2),) and v.edges == (0, 1)
     assert v.format() == "S cell=(0,1|2) edges=[0,1]"
-    assert not verify(fam).ok
-
-
-def test_build_board_rejects_wrong_q():
-    with pytest.raises(BoardError):
-        build_board(4, Q3_REFERENCE)
 
 
 def test_build_board_rejects_a_half_on_a_1_edge_cell():
+    """``verify`` and ``incremental_check`` raise on a half that sits on a 1-edge cell."""
     # Family() skips the validation that Family.from_edges does
     fam = Family(q=3, edges=(((0, 1, 2), (0, 3, 1)), ((0, 1, 0), (2, 3, 1))))
     with pytest.raises(BoardError, match=r"claims the 1-edge cell \(0, 1, 0\)"):
-        build_board(3, fam)
+        verify(fam)
+    with pytest.raises(BoardError, match=r"claims the 1-edge cell \(0, 1, 0\)"):
+        incremental_check(fam, make_edge((1, 2, 0), (2, 3, 1)))
+
+
+def test_repeated_edge_is_reported_at_each_position():
+    # Family() skips the duplicate check that parse_family and Family.from_edges do
+    e = ((0, 1, 2), (2, 3, 0))
+    assert verify(Family(q=3, edges=(e, e))).report() == (
+        "S cell=(0,1|2) edges=[0,1]\n"
+        "S cell=(2,3|0) edges=[0,1]\n"
+        "C2 edge=0 cells=(0,1|0),(2,3|2)\n"
+        "C2 edge=1 cells=(0,1|0),(2,3|2)"
+    )
 
 
 def test_verify_report_lists_s_then_each_edge_in_order():
@@ -80,17 +83,15 @@ def test_verify_report_lists_s_then_each_edge_in_order():
 def test_c2_fires_on_background_occupancy():
     # both opposite corners of (01,2;23,0) are 1-edge cells
     fam = Family.from_edges(3, [((0, 1, 2), (2, 3, 0))])
-    board = build_board(3, fam)
-    v = check_C2(board, fam.edges[0])
-    assert v is not None
+    result = verify(fam)
+    assert not result.ok
+    (v,) = [v for v in result.violations if v.kind == "C2"]
     assert v.cells == ((0, 1, 0), (2, 3, 2))
     assert v.format() == "C2 edge=0 cells=(0,1|0),(2,3|2)"
-    assert not verify(fam).ok
 
 
 def test_c2_clean_on_reference_board():
-    board = build_board(3, Q3_REFERENCE)
-    assert check_C2(board, Q3_REFERENCE.edges[0]) is None
+    assert not [v for v in verify(Q3_REFERENCE).violations if v.kind == "C2"]
 
 
 def test_c2_never_fires_for_degenerate_edges():
@@ -98,27 +99,27 @@ def test_c2_never_fires_for_degenerate_edges():
     for _ in range(200):
         q = rng.choice([3, 4])
         fam = random_subfamily(rng, reference_family(q))
-        board = build_board(q, fam)
         e = random_edge(rng, q)
         if classify(e) != NONDEGENERATE:
-            assert check_C2(board, e) is None
+            assert _rule_violations(fam, e, "C2") == []
 
 
 def test_c3_two_edge_interaction_with_hand_checked_witness():
     # second edge occupies (23,0); the other four pattern cells of the
     # witness (x, y) = ({2,3}, 0) for the first edge are 1-edge cells
     fam = Family.from_edges(3, [((0, 1, 2), (0, 2, 3)), ((1, 3, 2), (2, 3, 0))])
-    board = build_board(3, fam)
-    violations = check_C3(board, fam.edges[0])
+    result = verify(fam)
+    assert not result.ok
+    violations = [v for v in result.violations if v.kind == "C3" and v.edges == (0,)]
     assert violations
     hit = violations[0]
     assert hit.witness == ((2, 3), 0)
     assert set(hit.cells) == {(2, 3, 0), (2, 3, 2), (2, 3, 3), (0, 1, 0), (0, 2, 0)}
     # every listed cell really is occupied
+    claims = cell_claims(fam.edges)
     for cell in hit.cells:
         i, j, c = cell
-        assert board.owner_of(cell) != -2 or c in (i, j)
-    assert not verify(fam).ok
+        assert cell in claims or c in (i, j)
 
 
 def test_c3_brute_force_witness_scan_agrees():
@@ -126,23 +127,18 @@ def test_c3_brute_force_witness_scan_agrees():
     for _ in range(120):
         q = rng.choice([3, 4])
         fam = random_subfamily(rng, reference_family(q))
-        board = build_board(q, fam)
         e = random_edge(rng, q)
-        got = {(v.witness) for v in check_C3(board, e)}
+        got = {v.witness for v in _rule_violations(fam, e, "C3")}
         # independent scan straight from the rule statement
         (i1, j1, c1), (i2, j2, c2) = e
         r1, r2 = (i1, j1), (i2, j2)
-        occupied = set()
-        for k, (a, b) in enumerate(board.family.edges[: len(board.family.edges)]):
-            occupied.add(a)
-            occupied.add(b)
-        from zlq.board import rows as all_rows
+        occupied = {half for edge in fam.edges for half in edge}
 
         def occ(row, col):
             return col in row or (row[0], row[1], col) in occupied
 
         expected = set()
-        for x in all_rows(q):
+        for x in rows(q):
             if x in (r1, r2):
                 continue
             for y in range(q + 1):
@@ -160,17 +156,16 @@ def test_c3_brute_force_witness_scan_agrees():
 
 
 def test_c3_impossible_for_nondegenerate_edge_on_background():
-    empty = build_board(3, Family.from_edges(3, []))
+    empty = Family.from_edges(3, [])
     for e in candidate_family(3, "full"):
         if classify(e) == NONDEGENERATE:
-            assert check_C3(empty, e) == []
+            assert _rule_violations(empty, e, "C3") == []
 
 
 def test_c3_background_violation_for_column_degenerate_edge():
     # rows {0,1} and {0,2} share vertex 0: witness ({0,3}, 0) is all 1-edges
     e = make_edge((0, 1, 3), (0, 2, 3), q=3)
-    empty = build_board(3, Family.from_edges(3, []))
-    violations = check_C3(empty, e)
+    violations = _rule_violations(Family.from_edges(3, []), e, "C3")
     assert violations and violations[0].witness == ((0, 3), 0)
     assert not verify(Family.from_edges(3, [e])).ok
 
@@ -221,18 +216,20 @@ def test_monotone_violation():
 
 def test_incremental_check_examples():
     fam = Family.from_edges(3, [((0, 1, 2), (0, 3, 1))])
-    board = build_board(3, fam)
-    assert incremental_check(board, make_edge((1, 3, 2), (2, 3, 0)))
-    assert not incremental_check(board, make_edge((0, 1, 2), (1, 3, 0)))
+    assert incremental_check(fam, make_edge((1, 3, 2), (2, 3, 0)))
+    assert not incremental_check(fam, make_edge((0, 1, 2), (1, 3, 0)))
+    # a family that already shares a cell admits nothing
+    shared = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((0, 1, 2), (1, 3, 0))])
+    assert not incremental_check(shared, make_edge((1, 3, 2), (2, 3, 0)))
 
 
 def test_incremental_check_rejects_an_edge_off_the_board():
-    board = build_board(3, reference_family(3))
+    fam = reference_family(3)
     edge = make_edge((0, 1, 2), (4, 5, 0))  # fine on q=5, off the q=3 board
-    with pytest.raises(BoardError):
-        check_C3(board, edge)
     with pytest.raises(BoardError, match="row pair"):
-        incremental_check(board, edge)
+        verify(Family(q=3, edges=fam.edges + (edge,)))
+    with pytest.raises(BoardError, match="row pair"):
+        incremental_check(fam, edge)
 
 
 def test_incremental_check_agrees_with_full_verifier():
@@ -240,12 +237,11 @@ def test_incremental_check_agrees_with_full_verifier():
     for _ in range(400):
         q = rng.choice([3, 4, 5])
         fam = random_subfamily(rng, reference_family(q))
-        board = build_board(q, fam)
         e = random_edge(rng, q)
         if e in fam.edges:
             continue
         full = verify(Family.from_edges(q, list(fam.edges) + [e])).ok
-        assert incremental_check(board, e) == full
+        assert incremental_check(fam, e) == full
 
 
 def test_static_prune_flags():
@@ -277,46 +273,14 @@ def test_s_violations_are_the_shared_claims():
     for _ in range(200):
         q = rng.choice([3, 4, 5])
         edges = [random_edge(rng, q) for _ in range(rng.randint(0, 8))]
-        board = build_board(q, Family(q=q, edges=tuple(edges)))
+        result = verify(Family(q=q, edges=tuple(edges)))
+        s_violations = [v for v in result.violations if v.kind == "S"]
         claims = cell_claims(edges)
         shared = sorted(cell for cell, ks in claims.items() if len(ks) > 1)
-        assert [v.cells for v in board.s_violations] == [(cell,) for cell in shared]
-        assert [v.edges for v in board.s_violations] == [tuple(claims[cell]) for cell in shared]
-        for cell, ks in claims.items():
-            assert board.owner_of(cell) == ks[0]
-
-
-def _dense_owners(q, edges):
-    """Owner per dense cell index, FREE / ONE_EDGE / first claimant, from a row table."""
-    board_rows = rows(q)
-    position = {r: k for k, r in enumerate(board_rows)}
-    n = q + 1
-    owners = [FREE] * (len(board_rows) * n)
-    for k, (i, j) in enumerate(board_rows):
-        owners[k * n + i] = ONE_EDGE
-        owners[k * n + j] = ONE_EDGE
-    for k, edge in enumerate(edges):
-        for i, j, c in edge:
-            dense = position[(i, j)] * n + c
-            if owners[dense] == FREE:
-                owners[dense] = k
-    return owners
-
-
-def test_board_owners_match_a_dense_array_oracle():
-    rng = random.Random(89)
-    for _ in range(200):
-        q = rng.choice([3, 4, 5])
-        edges = [random_edge(rng, q) for _ in range(rng.randint(0, 8))]
-        if edges and rng.random() < 0.3:
-            edges.append(rng.choice(edges))  # a doubled edge
-        edges.sort()
-        board = build_board(q, Family(q=q, edges=tuple(edges)))
-        owners = _dense_owners(q, edges)
-        cells = [(i, j, c) for i, j in rows(q) for c in range(q + 1)]
-        assert [board.owner_of(cell) for cell in cells] == owners
-        one, free = owners.count(ONE_EDGE), owners.count(FREE)
-        assert board.counts() == {"one_edge": one, "free": free, "used": len(owners) - one - free}
+        assert [v.cells for v in s_violations] == [(cell,) for cell in shared]
+        assert [v.edges for v in s_violations] == [tuple(claims[cell]) for cell in shared]
+        # S violations come first
+        assert result.violations[: len(s_violations)] == tuple(s_violations)
 
 
 def test_over_and_fitting_keep_what_verifies_with_the_base():

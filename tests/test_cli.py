@@ -157,7 +157,7 @@ def test_search_rejects_mismatched_warm_start(tmp_path, capsys):
         capsys, "search", "--q", "5", "--warm-start", str(warm), "--quiet"
     )
     assert code == 2
-    assert json.loads(err)["error"] == "config"
+    assert json.loads(err)["error"] == "usage"
 
 
 @pytest.mark.parametrize(
@@ -177,7 +177,9 @@ def test_negative_budgets_exit_2(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--quiet")
     assert code == 2
     assert out == ""
-    assert "non-negative" in json.loads(err)["message"]
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    assert "non-negative" in payload["message"]
 
 
 def test_zero_budgets_stay_valid(capsys):
@@ -275,6 +277,12 @@ def test_output_file_errors_exit_2_before_any_stdout(tmp_path, capsys, monkeypat
     assert out == ""
     payload = json.loads(err.splitlines()[-1])
     assert payload["error"] == "io" and str(missing) in payload["message"]
+    # so is a path that is an existing directory
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv], str(tmp_path))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "io" and "is a directory" in payload["message"]
 
 
 def test_families_listing_and_emit(capsys):

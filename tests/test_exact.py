@@ -202,7 +202,12 @@ def test_time_limit_covers_preprocessing():
 
 
 def test_negative_budgets_are_rejected():
-    for kwargs in ({"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}):
+    for kwargs in (
+        {"node_limit": -5},
+        {"node_limit": float("nan")},
+        {"time_limit": -1.0},
+        {"time_limit": float("nan")},
+    ):
         with pytest.raises(ValueError, match="must be non-negative"):
             solve_exact(3, **kwargs)
         with pytest.raises(ValueError, match="must be non-negative"):

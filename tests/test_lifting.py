@@ -32,8 +32,9 @@ def test_lift_rejects_a_negative_oracle_budget(monkeypatch):
         raise AssertionError("search started")
 
     monkeypatch.setattr("zlq.lifting.run_search", no_search)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        lift_extend(reference_family(4), oracle_node_limit=-5)
+    for budget in (-5, float("nan")):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            lift_extend(reference_family(4), oracle_node_limit=budget)
 
 
 def test_new_vertex_candidates_q6():

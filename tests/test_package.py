@@ -5,3 +5,9 @@ def test_every_exported_name_resolves():
     missing = [name for name in zlq.__all__ if not hasattr(zlq, name)]
     assert missing == []
     assert len(set(zlq.__all__)) == len(zlq.__all__)
+
+
+def test_retired_verifier_names_are_gone():
+    for name in ("Board", "build_board", "check_C2", "check_C3"):
+        assert not hasattr(zlq, name), name
+        assert name not in zlq.__all__
