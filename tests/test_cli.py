@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -126,6 +127,20 @@ def test_solve_exact_budget_exit_code(tmp_path, capsys):
     events = [json.loads(line) for line in log.read_text().splitlines()]
     assert events[-1]["event"] == "done" and events[-1]["status"] == "incumbent"
     assert any(e["event"] == "bound" for e in events)
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    # 318,197 nodes: the log holds node events as well as bound, incumbent and done
+    (["--q", "4", "--symmetry"], 0,
+     "2190c676becd8bc0a83e5ccab48b270c55192ed04968331bab46ad259ead0829"),
+    (["--q", "4", "--node-limit", "20000"], 1,
+     "a01caad77a9abb58a12fcbb201791ff94ea2c96f4e8d45ff9c3de77e2c9bfde4"),
+])
+def test_solve_exact_event_log_is_pinned(tmp_path, capsys, argv, code, digest):
+    log = tmp_path / "events.jsonl"
+    got, _, _ = run_cli(capsys, "solve-exact", *argv, "--quiet", "--log", str(log))
+    assert got == code
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
 
 
 def test_search_is_byte_identical(tmp_path, capsys):

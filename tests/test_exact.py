@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -51,6 +52,24 @@ def test_canonical_certificate_is_lex_minimal_among_optima():
     canonical = solve_exact(3, canonical_certificate=True).certificate
     assert verify(canonical).ok and len(canonical) == 2
     assert canonical.edges <= plain.edges
+
+
+def test_solvers_leave_no_reference_cycles():
+    # the search state holds the conflict masks (1,350 of them at q=5); a
+    # cycle through it would keep them alive until the cyclic GC runs
+    runs = (
+        lambda: solve_exact(3),
+        lambda: solve_exact(4, symmetry=True, node_limit=2000),
+        lambda: solve_extension(Family.from_edges(3, []), candidate_family(3, "full")),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nondeg_mode_optimum_q3():
