@@ -15,7 +15,8 @@ background alone.  Each rule instance is defined once: simplicity by
 ``cell_claims``, the other two by ``corner_cells``, ``witness_set`` and
 ``pattern_cells``; ``verify`` and the ILP rows in ``ilp`` derive from these
 functions.  For a nondegenerate 2-edge the five pattern cells are
-automatically pairwise distinct (``pattern_cells`` asserts this, nothing
+automatically pairwise distinct, because ``witness_set`` keeps x outside
+the edge's rows and y outside its columns (a test pins this, nothing
 re-filters); degenerate 2-edges may have coincident pattern cells, and the
 pattern is a multiset.  ``verify`` is one loop over one occupancy view, the
 family's ``cell_claims``: a cell is occupied when it is a 1-edge cell (the
@@ -102,10 +103,7 @@ def pattern_cells(edge: TwoEdge, witness: tuple[Row, int]) -> tuple[Cell, ...]:
     """The five cells (x,y), (x,c1), (x,c2), (r1,y), (r2,y) of the five-cell rule."""
     (i1, j1, c1), (i2, j2, c2) = edge
     (xi, xj), y = witness
-    cells = ((xi, xj, y), (xi, xj, c1), (xi, xj, c2), (i1, j1, y), (i2, j2, y))
-    if classify(edge) == NONDEGENERATE:
-        assert len(set(cells)) == 5, "nondegenerate pattern cells must be distinct"
-    return cells
+    return (xi, xj, y), (xi, xj, c1), (xi, xj, c2), (i1, j1, y), (i2, j2, y)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,6 @@ def _cmd_solve_exact(args) -> int:
         symmetry=args.symmetry,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        canonical_certificate=args.canonical_certificate,
     )
     m = result.q * (result.q + 1) // 2
     n = result.q + 1
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict first-level branching to orbit representatives")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--canonical-certificate", action="store_true",
-                   help="report the lexicographically smallest optimal family")
     p.add_argument("--out", help="write the certificate family file here")
     p.add_argument("--log", help="write node/bound/incumbent events as JSON lines")
     add_quiet(p)

@@ -20,8 +20,12 @@ Pairwise masks are a relaxation (three or more edges can clash through the
 five-cell rule even when all pairs coexist), so every extension is still
 guarded by the exact incremental check.
 
-One core serves both entry points: ``solve_exact`` runs it over an empty
-base, ``solve_extension`` over a frozen, verified base family.
+One function, ``_solve``, is the whole branch and bound, and it serves
+both entry points: ``solve_exact`` runs it over an empty base,
+``solve_extension`` over a frozen, verified base family.  A first-fit
+pass over the static order seeds the incumbent, and only a strictly
+larger family replaces it, so the certificate is the first maximum
+family the enumeration meets and the same call always returns it.
 """
 
 from __future__ import annotations
@@ -150,122 +154,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Search:
-    """Depth-first maximizer over a fixed candidate order."""
-
-    def __init__(
-        self,
-        scratch: ScratchBoard,
-        edges: list[TwoEdge],
-        coords: list[tuple[int, int, int, int]],
-        nondeg: list[bool],
-        conflicts: list[int],
-        base_placed: list[tuple[int, int, int, int, bool]],
-        node_limit: int | None,
-        deadline: float | None,
-        canonical: bool,
-        level0_mask: int | None,
-    ):
-        self.scratch = scratch
-        self.edges = edges
-        self.coords = coords
-        self.nondeg = nondeg
-        self.conflicts = conflicts
-        self.node_limit = node_limit
-        self.deadline = deadline
-        self.canonical = canonical
-        self.level0_mask = level0_mask
-        self.chosen: list[int] = []
-        self.placed: list[tuple[int, int, int, int, bool]] = list(base_placed)
-        self.best_size = -1
-        self.best_set: tuple[int, ...] = ()
-        self.nodes = 0
-        self.events: list[dict] = []
-        self.exhausted = True
-    def seed(self, indices: tuple[int, ...]) -> None:
-        self.best_size = len(indices)
-        self.best_set = tuple(indices)
-
-    def _certificate_edges(self, indices: tuple[int, ...]) -> tuple[TwoEdge, ...]:
-        return tuple(sorted(self.edges[k] for k in indices))
-
-    def _record(self) -> None:
-        size = len(self.chosen)
-        if size > self.best_size:
-            self.best_size = size
-            self.best_set = tuple(self.chosen)
-            self.events.append(
-                {"event": "incumbent", "size": size, "nodes": self.nodes}
-            )
-        elif self.canonical and size == self.best_size:
-            cert = self._certificate_edges(tuple(self.chosen))
-            if cert < self._certificate_edges(self.best_set):
-                self.best_set = tuple(self.chosen)
-
-    def _budget(self) -> None:
-        if self.nodes % 65536 == 0:
-            self.events.append(
-                {"event": "node", "nodes": self.nodes, "best": self.best_size}
-            )
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            raise _BudgetExhausted
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
-
-    def run(self, root: int) -> None:
-        try:
-            self._rec(root, 0)
-        except _BudgetExhausted:
-            self.exhausted = False
-
-    def _rec(self, remaining: int, depth: int) -> None:
-        chosen = len(self.chosen)
-        cutoff = self.best_size - 1 if self.canonical else self.best_size
-        scratch = self.scratch
-        while remaining:
-            bound = upper_bound(chosen, remaining.bit_count(), scratch.free_cells)
-            if bound <= cutoff:
-                return
-            i = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            if depth == 0 and self.level0_mask is not None:
-                if not (self.level0_mask >> i) & 1:
-                    continue
-            self.nodes += 1
-            self._budget()
-            coords = self.coords[i]
-            if scratch.insertion_ok(coords, self.nondeg[i], self.placed):
-                scratch.place(*coords)
-                self.placed.append((*coords, self.nondeg[i]))
-                self.chosen.append(i)
-                self._record()
-                self._rec(remaining & ~self.conflicts[i], depth + 1)
-                self.chosen.pop()
-                self.placed.pop()
-                scratch.unplace(*coords)
-                cutoff = self.best_size - 1 if self.canonical else self.best_size
-
-
-def _greedy_seed(
-    scratch: ScratchBoard,
-    coords: list[tuple[int, int, int, int]],
-    nondeg: list[bool],
-    base_placed: list[tuple[int, int, int, int, bool]],
-) -> tuple[int, ...]:
-    """Cheap deterministic incumbent: first-fit over the static order."""
-    chosen = scratch.first_fit(range(len(coords)), coords, nondeg, list(base_placed))
-    for i in reversed(chosen):
-        scratch.unplace(*coords[i])
-    return tuple(chosen)
-
-
 def _solve(
     base: Family,
     candidates: list[TwoEdge],
     mode: Mode,
     symmetry: bool,
-    canonical_certificate: bool,
     node_limit: int | None,
     time_limit: float | None,
     start: float,
@@ -301,8 +194,9 @@ def _solve(
             mask &= mask - 1
             conflicts[p] |= 1 << pos_of[j]
 
+    every = (1 << len(edges)) - 1
     orbit_count: int | None = None
-    level0_mask: int | None = None
+    level0_mask = every  # the candidates the first level may branch on
     if symmetry and edges:
         orbits = candidate_orbits(q, usable)
         orbit_count = len(orbits)
@@ -310,52 +204,79 @@ def _solve(
         for orbit in orbits:
             level0_mask |= 1 << min(pos_of[k] for k in orbit)
 
-    search = _Search(
-        scratch,
-        edges,
-        coords,
-        nondeg,
-        conflicts,
-        base_placed,
-        node_limit,
-        deadline,
-        canonical_certificate,
-        level0_mask,
-    )
-    seed = _greedy_seed(scratch, coords, nondeg, base_placed)
-    search.seed(seed)
-    search.events.append(
+    # incumbent seed: first-fit over the static order, on a board of its own
+    seed_board, seed_placed = ScratchBoard.over(q, base.edges)
+    best = tuple(seed_board.first_fit(range(len(edges)), coords, nondeg, seed_placed))
+    events: list[dict] = [
         {
             "event": "bound",
             "where": "root",
             "value": upper_bound(0, len(edges), scratch.free_cells),
-            "incumbent": len(seed),
+            "incumbent": len(best),
         }
-    )
-    search.run((1 << len(edges)) - 1 if edges else 0)
+    ]
+    nodes = 0
+    chosen: list[int] = []
+    placed = list(base_placed)
 
-    certificate = Family.from_edges(
-        q, list(base.edges) + [edges[k] for k in search.best_set]
-    )
+    def rec(remaining: int, depth: int) -> None:
+        nonlocal best, nodes
+        size = len(chosen)
+        cutoff = len(best)
+        while remaining:
+            bound = upper_bound(size, remaining.bit_count(), scratch.free_cells)
+            if bound <= cutoff:
+                return
+            i = (remaining & -remaining).bit_length() - 1
+            remaining &= remaining - 1
+            if depth == 0 and not (level0_mask >> i) & 1:
+                continue
+            nodes += 1
+            if nodes % 65536 == 0:
+                events.append({"event": "node", "nodes": nodes, "best": len(best)})
+            if node_limit is not None and nodes >= node_limit:
+                raise _BudgetExhausted
+            if deadline is not None and nodes % 1024 == 0:
+                if time.monotonic() > deadline:
+                    raise _BudgetExhausted
+            ci = coords[i]
+            if scratch.insertion_ok(ci, nondeg[i], placed):
+                scratch.place(*ci)
+                placed.append((*ci, nondeg[i]))
+                chosen.append(i)
+                if size + 1 > cutoff:
+                    best = tuple(chosen)
+                    events.append({"event": "incumbent", "size": size + 1, "nodes": nodes})
+                rec(remaining & ~conflicts[i], depth + 1)
+                chosen.pop()
+                placed.pop()
+                scratch.unplace(*ci)
+                cutoff = len(best)
+
+    status = OPTIMAL
+    try:
+        rec(every, 0)
+    except _BudgetExhausted:
+        status = INCUMBENT
+    del rec  # rec holds itself through its closure cell; the cycle would pin the masks
+
+    certificate = Family.from_edges(q, list(base.edges) + [edges[k] for k in best])
     if not verify(certificate).ok:  # pragma: no cover - internal invariant
         raise RuntimeError("exact solver produced an unverifiable certificate")
-    status = OPTIMAL if search.exhausted else INCUMBENT
-    search.events.append(
-        {"event": "done", "status": status, "size": search.best_size, "nodes": search.nodes}
-    )
+    events.append({"event": "done", "status": status, "size": len(best), "nodes": nodes})
     return ExactResult(
         status=status,
         q=q,
         mode=mode,
-        size=search.best_size,
+        size=len(best),
         certificate=certificate,
         z_value=q * (q + 1) + len(certificate),
-        nodes=search.nodes,
+        nodes=nodes,
         elapsed=time.monotonic() - start,
         pruned_static=pruned_static,
         symmetry=symmetry,
         orbit_count=orbit_count,
-        events=tuple(search.events),
+        events=tuple(events),
     )
 
 
@@ -365,7 +286,6 @@ def solve_exact(
     symmetry: bool = False,
     node_limit: int | None = None,
     time_limit: float | None = None,
-    canonical_certificate: bool = False,
 ) -> ExactResult:
     """Exact maximum admissible family size over the candidate family.
 
@@ -383,7 +303,6 @@ def solve_exact(
         candidate_family(q, mode),
         mode=mode,
         symmetry=symmetry,
-        canonical_certificate=canonical_certificate,
         node_limit=node_limit,
         time_limit=time_limit,
         start=start,
@@ -410,7 +329,6 @@ def solve_extension(
         candidates,
         mode="full",
         symmetry=False,
-        canonical_certificate=False,
         node_limit=node_limit,
         time_limit=time_limit,
         start=start,

@@ -53,10 +53,6 @@ class Family:
                 raise BoardError(f"duplicate 2-edge {a}")
         return Family(q, tuple(ordered))
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 

@@ -134,16 +134,12 @@ class _Candidates:
             pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
         # the static prune: keep what fits the empty board
         self.edges, self.coords, self.nondeg = ScratchBoard(q).fitting(pool, [])
-        self.priority_split = None
+        self.priority_split = 0  # an empty priority block draws nothing from the stream
         if priority_vertex is not None:
             self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
 
     def shuffled_order(self, stream: SplitMix64) -> list[int]:
         """Candidate indices, shuffled; the priority block stays in front."""
-        if self.priority_split is None:
-            order = list(range(len(self.edges)))
-            stream.shuffle(order)
-            return order
         first = list(range(self.priority_split))
         rest = list(range(self.priority_split, len(self.edges)))
         stream.shuffle(first)

@@ -364,7 +364,7 @@ def test_kernel_hits_match_rule_definition_random_large():
 
 
 def test_pattern_cells_distinct_for_nondegenerate_edges():
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 6):
         for e in candidate_family(q, "nondeg"):
             for w in witness_set(e, q):
                 assert len(set(pattern_cells(e, w))) == 5, (e, w)

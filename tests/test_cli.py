@@ -70,6 +70,7 @@ def test_usage_error_exits_2(capsys):
         (["lift", "--input", "f", "--threads", "2"], "unrecognized arguments"),
         (["repro", "--threads", "1"], "unrecognized arguments"),
         (["solve-exact", "--q", "3", "--order", "canonical"], "unrecognized arguments"),
+        (["solve-exact", "--q", "3", "--canonical-certificate"], "unrecognized arguments"),
         (["search", "--q", "4", "--width2-samples", "8"], "unrecognized arguments"),
         (["search", "--q", "4", "--improve-passes", "1"], "unrecognized arguments"),
         (["lift", "--input", "f", "--improve-passes", "1"], "unrecognized arguments"),

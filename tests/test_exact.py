@@ -41,17 +41,9 @@ def test_q3_optimum_independent_of_flags():
     sizes = {
         solve_exact(3, symmetry=False).size,
         solve_exact(3, symmetry=True).size,
-        solve_exact(3, canonical_certificate=True).size,
         solve_exact(3, mode="full").size,
     }
     assert sizes == {2}
-
-
-def test_canonical_certificate_is_lex_minimal_among_optima():
-    plain = solve_exact(3).certificate
-    canonical = solve_exact(3, canonical_certificate=True).certificate
-    assert verify(canonical).ok and len(canonical) == 2
-    assert canonical.edges <= plain.edges
 
 
 def test_solvers_leave_no_reference_cycles():

@@ -1,3 +1,5 @@
+import inspect
+
 import zlq
 
 
@@ -11,3 +13,8 @@ def test_retired_verifier_names_are_gone():
     for name in ("Board", "build_board", "check_C2", "check_C3"):
         assert not hasattr(zlq, name), name
         assert name not in zlq.__all__
+
+
+def test_retired_solver_and_family_names_are_gone():
+    assert "canonical_certificate" not in inspect.signature(zlq.solve_exact).parameters
+    assert not hasattr(zlq.Family, "size")
