@@ -236,9 +236,8 @@ def _solve(
                 events.append({"event": "node", "nodes": nodes, "best": len(best)})
             if node_limit is not None and nodes >= node_limit:
                 raise _BudgetExhausted
-            if deadline is not None and nodes % 1024 == 0:
-                if time.monotonic() > deadline:
-                    raise _BudgetExhausted
+            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                raise _BudgetExhausted
             ci = coords[i]
             if scratch.insertion_ok(ci, nondeg[i], placed):
                 scratch.place(*ci)
