@@ -5,7 +5,10 @@ import time
 
 import pytest
 
-from zlq import Family, pairwise_conflicts, solve_exact, upper_bound, verify
+from zlq import (
+    Family, SearchConfig, lift_extend, pairwise_conflicts, run_search, solve_exact, upper_bound,
+    verify,
+)
 from zlq.admissibility import ScratchBoard
 from zlq.board import candidate_family
 from zlq.exact import (
@@ -53,6 +56,22 @@ def test_solvers_leave_no_reference_cycles():
         lambda: solve_exact(3),
         lambda: solve_exact(4, symmetry=True, node_limit=2000),
         lambda: solve_extension(Family.from_edges(3, []), candidate_family(3, "full")),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_search_and_lift_leave_no_reference_cycles():
+    # a restart's nested closures must not reach themselves through a cell
+    runs = (
+        lambda: run_search(SearchConfig(q=4, seed=1, restarts=2, delete_width=2)),
+        lambda: lift_extend(reference_family(3), seed=0, restarts=2),
     )
     gc.collect()
     gc.disable()

@@ -81,6 +81,16 @@ def test_lift_q5_target_and_bound():
         assert family_sha256(report.family) == digest
 
 
+def test_lift_q4_default_width_path_is_pinned():
+    # the default delete width 2 on a warm start with a priority vertex
+    report = lift_extend(reference_family(4), seed=0, restarts=2)
+    assert report.target == 8
+    assert report.achieved == 11
+    assert family_sha256(report.family) == (
+        "bf8143b7a0cb035a616e6b5e6a2b5f443389861c301dcf9d6eeaaf6ba774ee77"
+    )
+
+
 def test_lift_oracle_adjudicates_a_forced_shortfall():
     # zero restarts cannot extend anything; the exact sub-solve must decide
     report = lift_extend(
