@@ -23,6 +23,7 @@ row.  The objective maximizes the sum of the x variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .board import (
@@ -243,7 +244,8 @@ def parse_solution_file(text: str, model: IlpModel) -> list[int]:
     """Read a ``name value`` per line assignment covering every variable.
 
     Lines starting with ``#`` and blank lines are skipped; values may be
-    solver-style floats but must sit within 1e-6 of 0 or 1.
+    solver-style floats but must sit within 1e-6 of 0 or 1 (so ``inf`` and
+    ``nan`` are not binary).
     """
     name_to_idx = {name: idx for idx, name in enumerate(model.var_names)}
     values: list[int | None] = [None] * model.num_vars
@@ -262,7 +264,7 @@ def parse_solution_file(text: str, model: IlpModel) -> list[int]:
             value = float(value_token)
         except ValueError:
             raise SolutionFormatError(f"line {lineno}: bad value {value_token!r}") from None
-        rounded = round(value)
+        rounded = round(value) if math.isfinite(value) else None
         if rounded not in (0, 1) or abs(value - rounded) > 1e-6:
             raise SolutionFormatError(f"line {lineno}: value {value_token!r} is not binary")
         if values[idx] is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
@@ -95,33 +95,6 @@ class SearchResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-class _State:
-    """One restart's mutable family + occupancy."""
-
-    __slots__ = ("q", "scratch", "edges", "placed")
-
-    def __init__(self, q: int, base: Family | None):
-        self.q = q
-        self.edges: list[TwoEdge] = [] if base is None else list(base.edges)
-        self.scratch, self.placed = ScratchBoard.over(q, self.edges)
-
-    def put(self, e: TwoEdge) -> None:
-        entry = self.scratch.placed_entry(e)
-        self.scratch.place(*entry[:4])
-        self.edges.append(e)
-        self.placed.append(entry)
-
-    def remove(self, e: TwoEdge) -> None:
-        idx = self.edges.index(e)
-        r1, c1, r2, c2, _ = self.placed[idx]
-        self.scratch.unplace(r1, c1, r2, c2)
-        del self.edges[idx]
-        del self.placed[idx]
-
-    def family(self) -> Family:
-        return Family.from_edges(self.q, self.edges)
-
-
 class _Candidates:
     """Shared immutable candidate table for one search run."""
 
@@ -147,57 +120,59 @@ class _Candidates:
         return first + rest
 
 
-def _fill(state: _State, cands: _Candidates, order: Sequence[int]) -> list[TwoEdge]:
-    accepted = state.scratch.first_fit(order, cands.coords, cands.nondeg, state.placed)
-    added = [cands.edges[k] for k in accepted]
-    state.edges.extend(added)
-    return added
-
-
-def _improve(
-    state: _State,
+def _one_restart(
+    config: SearchConfig,
     cands: _Candidates,
-    stream: SplitMix64,
-    delete_width: int,
+    index: int,
     deadline: float | None,
-) -> None:
-    """Up to ``_IMPROVE_PASSES`` delete-and-repair passes; stops after one that gains nothing.
+) -> tuple[TwoEdge, ...]:
+    """A shuffled first fit, then up to ``_IMPROVE_PASSES`` delete-and-repair passes.
 
+    The passes stop after one that gains nothing.  Every fill builds its
+    own board from the edges it keeps, so a failed attempt needs no undo.
     Once ``deadline`` (a ``time.monotonic`` value, or None for no limit)
     has passed, no further attempt starts and the current family stands.
     """
+    stream = derive_stream(config.seed, index)
+
+    def fill(kept: list[TwoEdge]) -> list[TwoEdge]:
+        board, placed = ScratchBoard.over(config.q, kept)
+        accepted = board.first_fit(
+            cands.shuffled_order(stream), cands.coords, cands.nondeg, placed
+        )
+        return kept + [cands.edges[k] for k in accepted]
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
     def attempt(removals: list[TwoEdge]) -> bool:
-        before = len(state.edges)
-        for e in removals:
-            state.remove(e)
-        added = _fill(state, cands, cands.shuffled_order(stream))
-        if len(state.edges) > before:
+        nonlocal family
+        kept = [e for e in family if e not in removals]
+        trial = fill(kept)
+        if len(trial) > len(family):
+            family = trial
             return True
-        for e in added:
-            state.remove(e)
-        for e in removals:
-            state.put(e)
+        # removals go last: later passes and the pair snapshot keep the pinned search paths
+        family = kept + removals
         return False
 
-    # repair pass with nothing deleted.  After a complete first-fit pass
+    family = fill([] if config.warm_start is None else list(config.warm_start.edges))
+    # repair fill with nothing deleted.  After a complete first-fit pass
     # the family is already maximal (admissibility is hereditary, so a
-    # candidate rejected against part of the family stays rejected), and
-    # the pass adds nothing (test_a_complete_first_fit_pass_leaves_nothing_to_add);
-    # it stays only so its shuffle keeps every restart's random stream in place
-    _fill(state, cands, cands.shuffled_order(stream))
+    # candidate rejected against part of the family stays rejected), and a
+    # second first_fit over it adds nothing
+    # (test_a_complete_first_fit_pass_leaves_nothing_to_add); the fill stays
+    # only so its shuffle keeps every restart's random stream in place
+    family = fill(family)
     for _ in range(_IMPROVE_PASSES):
         improved = False
-        for e in list(state.edges):
+        for e in list(family):
             if expired():
-                return
-            if e in state.edges and attempt([e]):
+                return tuple(family)
+            if e in family and attempt([e]):
                 improved = True
-        if delete_width == 2 and len(state.edges) >= 2:
-            snapshot = list(state.edges)
+        if config.delete_width == 2 and len(family) >= 2:
+            snapshot = list(family)
             pairs = [
                 (snapshot[a], snapshot[b])
                 for a in range(len(snapshot))
@@ -206,24 +181,12 @@ def _improve(
             stream.shuffle(pairs)
             for e1, e2 in pairs[:_WIDTH2_SAMPLES]:
                 if expired():
-                    return
-                if e1 in state.edges and e2 in state.edges and attempt([e1, e2]):
+                    return tuple(family)
+                if e1 in family and e2 in family and attempt([e1, e2]):
                     improved = True
         if not improved:
             break
-
-
-def _one_restart(
-    config: SearchConfig,
-    cands: _Candidates,
-    index: int,
-    deadline: float | None,
-) -> tuple[TwoEdge, ...]:
-    stream = derive_stream(config.seed, index)
-    state = _State(config.q, config.warm_start)
-    _fill(state, cands, cands.shuffled_order(stream))
-    _improve(state, cands, stream, config.delete_width, deadline)
-    return tuple(state.edges)
+    return tuple(family)
 
 
 def run_search(config: SearchConfig, progress: Progress | None = None) -> SearchResult:

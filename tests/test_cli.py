@@ -262,6 +262,18 @@ def test_import_solution_incomplete_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "parse"
 
 
+def test_import_solution_non_finite_value_exits_2(tmp_path, capsys):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("x_0 inf\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "import-solution", "--model-q", "3", "--solution", str(sol)
+    )
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "parse"
+    assert "line 1: value 'inf' is not binary" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

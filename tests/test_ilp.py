@@ -177,6 +177,9 @@ def test_parse_solution_file_tolerances_and_errors():
         parse_solution_file("y_9 1\n", model)
     with pytest.raises(SolutionFormatError, match="not binary"):
         parse_solution_file("x_0 0.4\n", model)
+    for token in ("inf", "-inf", "nan", "1e400"):
+        with pytest.raises(SolutionFormatError, match=f"line 2: value '{token}' is not binary"):
+            parse_solution_file(f"x_1 1\nx_0 {token}\n", model)
     with pytest.raises(SolutionFormatError, match="duplicate"):
         parse_solution_file("x_0 1\nx_0 1\n", model)
     with pytest.raises(SolutionFormatError, match="name value"):

@@ -13,6 +13,7 @@ from zlq import (
     run_search,
     verify,
 )
+from zlq.admissibility import ScratchBoard
 from zlq.board import NONDEGENERATE
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
@@ -217,13 +218,14 @@ def test_config_validation():
 def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
     # hereditarity: a candidate rejected against part of the family stays
     # rejected, so the repair pass of a restart never adds an edge
-    base = None if priority_vertex is None else embed(reference_family(q - 1))
+    base = [] if priority_vertex is None else list(embed(reference_family(q - 1)).edges)
     cands = zlq.search._Candidates(q, "full", priority_vertex)
     for seed in range(3):
         stream = derive_stream(seed, 0)
-        state = zlq.search._State(q, base)
-        assert zlq.search._fill(state, cands, cands.shuffled_order(stream))
-        assert zlq.search._fill(state, cands, cands.shuffled_order(stream)) == []
+        board, placed = ScratchBoard.over(q, base)
+        args = (cands.coords, cands.nondeg, placed)
+        assert board.first_fit(cands.shuffled_order(stream), *args)
+        assert board.first_fit(cands.shuffled_order(stream), *args) == []
 
 
 def test_width_two_improvement_runs():
