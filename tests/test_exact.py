@@ -216,6 +216,47 @@ def test_extension_over_empty_base_is_solve_exact(q, node_limit):
     assert ext.z_value == exact.z_value
 
 
+def _q5_under_budget():
+    return solve_exact(5, symmetry=True, node_limit=20_000)
+
+
+def _q4_family_extended_to_q5():
+    pool = new_vertex_candidates(5, candidate_family(5, "full"))
+    return solve_extension(embed(reference_family(4)), pool, node_limit=20_000)
+
+
+@pytest.mark.parametrize("run,pinned,digest,events", [
+    (
+        _q5_under_budget,
+        ("incumbent", 8, 20_000, 420, 6),
+        "0925d3482450678603939a2c26158e25679f6a8d004e446f462626d355543339",
+        [
+            {"event": "bound", "where": "root", "value": 30, "incumbent": 7},
+            {"event": "incumbent", "size": 8, "nodes": 7599},
+            {"event": "done", "status": "incumbent", "size": 8, "nodes": 20_000},
+        ],
+    ),
+    (
+        _q4_family_extended_to_q5,
+        ("incumbent", 5, 20_000, 1143, None),
+        "f89046ecaf88491e6c987172f924adbc757767ba9435e43750566fdd10d35a0d",
+        [
+            {"event": "bound", "where": "root", "value": 24, "incumbent": 3},
+            {"event": "incumbent", "size": 4, "nodes": 118},
+            {"event": "incumbent", "size": 5, "nodes": 188},
+            {"event": "done", "status": "incumbent", "size": 5, "nodes": 20_000},
+        ],
+    ),
+])
+def test_budgeted_search_paths_are_pinned(run, pinned, digest, events):
+    # the q=5 path under symmetry, and a path over a non-empty base
+    result = run()
+    got = (result.status, result.size, result.nodes, result.pruned_static, result.orbit_count)
+    assert got == pinned
+    assert family_sha256(result.certificate) == digest
+    assert list(result.events) == events
+
+
 def test_time_limit_covers_preprocessing():
     # the q=6 conflict graph alone takes far longer than the budget
     start = time.monotonic()
