@@ -25,7 +25,7 @@ from .admissibility import (
     witness_set,
 )
 from .ilp import IlpModel, build_model, export_lp, import_solution
-from .exact import ExactResult, pairwise_conflicts, solve_exact, upper_bound
+from .exact import ExactResult, solve_exact, upper_bound
 from .search import SearchConfig, SearchResult, run_search
 from .lifting import LiftReport, embed, lift_extend
 from .recognition import (
@@ -75,7 +75,6 @@ __all__ = [
     "k4t_bound",
     "lift_extend",
     "make_edge",
-    "pairwise_conflicts",
     "parse_family",
     "recognize_incidence",
     "reference_family",

@@ -22,10 +22,12 @@ guarded by the exact incremental check.
 
 One function, ``_solve``, is the whole branch and bound, and it serves
 both entry points: ``solve_exact`` runs it over an empty base,
-``solve_extension`` over a frozen, verified base family.  A first-fit
-pass over the static order seeds the incumbent, and only a strictly
-larger family replaces it, so the certificate is the first maximum
-family the enumeration meets and the same call always returns it.
+``solve_extension`` over a frozen, verified base family.  The candidate
+table is laid out once, on the search's board, and kept in the static
+order.  A first-fit pass over that order, on a second board, seeds the
+incumbent, and only a strictly larger family replaces it, so the
+certificate is the first maximum family the enumeration meets and the
+same call always returns it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .board import (
-    Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
-    make_edge,
-)
+from .board import Mode, TwoEdge, candidate_family, check_budget, check_mode, check_q, make_edge
 from .families import Family
 from .admissibility import ScratchBoard, verify
 
@@ -113,40 +112,38 @@ def candidate_orbits(q: int, candidates: list[TwoEdge]) -> list[list[int]]:
 
 
 def pairwise_conflicts(
-    q: int,
-    candidates: list[TwoEdge],
-    base: Family | None = None,
-    *,
-    _deadline: float | None = None,
+    board: ScratchBoard,
+    coords: list[tuple[int, int, int, int]],
+    nondeg: list[bool],
+    placed: list[tuple[int, int, int, int, bool]],
+    deadline: float | None = None,
 ) -> list[int]:
     """Bitmask per candidate of the candidates it can never coexist with.
 
-    Conflict means the two-element family (on top of ``base``, when given)
-    already fails verification: a shared cell, an opposite-corner pattern
-    completed between the two, or a two-edge five-cell pattern.  The
-    relation is sound but not complete; larger clashes surface in the
-    incremental checks of the search itself.
+    Candidates are given by ``coords`` and ``nondeg`` on ``board``, whose
+    edges ``placed`` describes, and their cells must be free there.
+    Conflict means the two candidates on top of ``placed`` already fail: a
+    shared cell, an opposite-corner pattern completed between the two, or
+    a two-edge five-cell pattern.  The relation is sound but not complete;
+    larger clashes surface in the incremental checks of the search itself.
+    The board is left as it was found.
 
-    The solvers pass their budget as ``_deadline`` (a ``time.monotonic``
-    value); once it has passed, no further rows are filled.  A partial
-    relation is still sound, it only prunes less.
+    Past ``deadline`` (a ``time.monotonic`` value) no further rows are
+    filled; a partial relation is still sound, it only prunes less.
     """
-    scratch, base_placed = ScratchBoard.over(q, () if base is None else base.edges)
-    coords = [scratch.coords(e) for e in candidates]
-    nondeg = [classify(e) == NONDEGENERATE for e in candidates]
-    n = len(candidates)
+    n = len(coords)
     masks = [0] * n
     for i in range(n):
-        if _deadline is not None and time.monotonic() > _deadline:
+        if deadline is not None and time.monotonic() > deadline:
             break
-        placed_i = base_placed + [(*coords[i], nondeg[i])]
-        scratch.place(*coords[i])
+        placed_i = placed + [(*coords[i], nondeg[i])]
+        board.place(*coords[i])
         bit_i = 1 << i
         for j in range(i + 1, n):
-            if not scratch.insertion_ok(coords[j], nondeg[j], placed_i):
+            if not board.insertion_ok(coords[j], nondeg[j], placed_i):
                 masks[i] |= 1 << j
                 masks[j] |= bit_i
-        scratch.unplace(*coords[i])
+        board.unplace(*coords[i])
     return masks
 
 
@@ -165,9 +162,10 @@ def _solve(
 ) -> ExactResult:
     """Maximum number of ``candidates`` that extend the verified ``base``.
 
-    The one branch-and-bound core behind both public solvers.  Symmetry
-    is sound only when the base is empty and the candidate list is closed
-    under vertex relabeling.  Budgets count from ``start`` and must be
+    The one branch-and-bound core behind both public solvers.  The search's
+    board also serves the conflict pass; the incumbent seed gets a second.
+    Symmetry is sound only when the base is empty and the candidate list is
+    closed under vertex relabeling.  Budgets count from ``start`` and must be
     non-negative.
     """
     check_budget("node limit", node_limit)
@@ -177,32 +175,34 @@ def _solve(
     scratch, base_placed = ScratchBoard.over(q, base.edges)
     # a candidate that fails against the base alone never fits (hereditarity);
     # on an empty base this is the static prune
-    usable, usable_coords, usable_nondeg = scratch.fitting(candidates, base_placed)
-    pruned_static = len(candidates) - len(usable)
+    edges, coords, nondeg = scratch.fitting(candidates, base_placed)
+    pruned_static = len(candidates) - len(edges)
 
-    conflicts_usable = pairwise_conflicts(q, usable, base, _deadline=deadline)
-    perm = sorted(range(len(usable)), key=lambda k: -conflicts_usable[k].bit_count())
-    edges = [usable[k] for k in perm]
-    coords = [usable_coords[k] for k in perm]
-    nondeg = [usable_nondeg[k] for k in perm]
-    pos_of = {k: p for p, k in enumerate(perm)}
+    # static order, most conflicts first; only the renumbered table and masks stay
+    masks = pairwise_conflicts(scratch, coords, nondeg, base_placed, deadline)
+    perm = sorted(range(len(edges)), key=lambda k: -masks[k].bit_count())
+    pos_of = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
+    edges = [edges[k] for k in perm]
+    coords = [coords[k] for k in perm]
+    nondeg = [nondeg[k] for k in perm]
     conflicts = [0] * len(edges)
     for p, k in enumerate(perm):
-        mask = conflicts_usable[k]
+        mask = masks[k]
         while mask:
             j = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             conflicts[p] |= 1 << pos_of[j]
+    del masks, perm, pos_of
 
     every = (1 << len(edges)) - 1
     orbit_count: int | None = None
     level0_mask = every  # the candidates the first level may branch on
     if symmetry and edges:
-        orbits = candidate_orbits(q, usable)
+        orbits = candidate_orbits(q, edges)
         orbit_count = len(orbits)
         level0_mask = 0
         for orbit in orbits:
-            level0_mask |= 1 << min(pos_of[k] for k in orbit)
+            level0_mask |= 1 << orbit[0]  # members ascend: the first is the representative
 
     # incumbent seed: first-fit over the static order, on a board of its own
     seed_board, seed_placed = ScratchBoard.over(q, base.edges)
@@ -318,9 +318,12 @@ def solve_extension(
 
     Only ``candidates`` may be added; the base is never removed.  The
     certificate is the combined family, ``size`` counts the extra edges.
-    Budgets behave as in ``solve_exact``.
+    Budgets behave as in ``solve_exact``.  A candidate that is not on the
+    base's board raises ``BoardError``.
     """
     start = time.monotonic()
+    for edge in candidates:
+        make_edge(*edge, q=base.q)
     if not verify(base).ok:
         raise ValueError("base family fails verification")
     return _solve(

@@ -5,15 +5,13 @@ import time
 
 import pytest
 
-from zlq import (
-    Family, SearchConfig, lift_extend, pairwise_conflicts, run_search, solve_exact, upper_bound,
-    verify,
-)
+from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, upper_bound, verify
 from zlq.admissibility import ScratchBoard
-from zlq.board import candidate_family
+from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify
 from zlq.exact import (
     apply_vertex_permutation,
     candidate_orbits,
+    pairwise_conflicts,
     solve_extension,
 )
 from zlq.fixtures import reference_family
@@ -98,8 +96,12 @@ def test_budget_exhaustion_is_reported_honestly():
 
 
 def test_conflicts_agree_with_pair_verification():
+    # all 66 candidates, the statically infeasible ones included
     cands = candidate_family(3, "full")
-    masks = pairwise_conflicts(3, cands)
+    board = ScratchBoard(3)
+    coords = [board.coords(e) for e in cands]
+    nondeg = [classify(e) == NONDEGENERATE for e in cands]
+    masks = pairwise_conflicts(board, coords, nondeg, [])
     # the reference family's two edges do not conflict
     i = cands.index(((0, 1, 2), (0, 3, 1)))
     j = cands.index(((1, 3, 2), (2, 3, 0)))
@@ -123,12 +125,29 @@ def test_conflicts_over_a_base_agree_with_verification():
             e for e in candidate_family(q, "full")
             if e not in base.edges and verify(Family.from_edges(q, list(base.edges) + [e])).ok
         ]
-        masks = pairwise_conflicts(q, fits, base)
+        board, placed = ScratchBoard.over(q, base.edges)
+        edges, coords, nondeg = board.fitting(fits, placed)
+        assert edges == fits
+        masks = pairwise_conflicts(board, coords, nondeg, placed)
         pairs = list(itertools.combinations(range(len(fits)), 2))
         for a, b in pairs if q == 3 else rng.sample(pairs, 1500):
             together = verify(Family.from_edges(q, list(base.edges) + [fits[a], fits[b]])).ok
             assert ((masks[a] >> b) & 1) == (not together), (fits[a], fits[b])
             assert ((masks[b] >> a) & 1) == ((masks[a] >> b) & 1)
+
+
+@pytest.mark.parametrize("base_size", [0, 2])
+def test_conflicts_leave_the_board_as_found(base_size):
+    board, placed = ScratchBoard.over(4, reference_family(4).edges[:base_size])
+    _, coords, nondeg = board.fitting(candidate_family(4, "full"), placed)
+    state = (list(board.col_masks), list(board.row_masks), board.free_cells, list(placed))
+    masks = pairwise_conflicts(board, coords, nondeg, placed)
+    assert any(masks)
+    assert (board.col_masks, board.row_masks, board.free_cells, placed) == state
+    # a deadline already past fills no row: the empty relation is sound
+    stale = pairwise_conflicts(board, coords, nondeg, placed, time.monotonic() - 1.0)
+    assert stale == [0] * len(coords)
+    assert (board.col_masks, board.row_masks, board.free_cells, placed) == state
 
 
 def test_upper_bound_properties():
@@ -294,6 +313,17 @@ def test_extension_solver_rejects_bad_base():
     bad = Family.from_edges(3, [((0, 1, 2), (2, 3, 0))])
     with pytest.raises(ValueError):
         solve_extension(bad, [])
+
+
+@pytest.mark.parametrize("edge", [
+    ((0, 1, 7), (2, 3, 8)),  # column off the board
+    ((0, 9, 1), (2, 3, 1)),  # row pair off the board
+    ((0, 1, 0), (2, 3, 1)),  # a half on a 1-edge cell
+])
+def test_extension_solver_rejects_candidates_off_the_board(edge):
+    base = reference_family(4)
+    with pytest.raises(BoardError):
+        solve_extension(base, candidate_family(4, "full")[:3] + [edge])
 
 
 @pytest.mark.slow

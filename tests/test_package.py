@@ -18,3 +18,10 @@ def test_retired_verifier_names_are_gone():
 def test_retired_solver_and_family_names_are_gone():
     assert "canonical_certificate" not in inspect.signature(zlq.solve_exact).parameters
     assert not hasattr(zlq.Family, "size")
+
+
+def test_conflict_kernel_is_not_exported():
+    # it takes the solver's board and candidate lists, so it stays in zlq.exact
+    assert not hasattr(zlq, "pairwise_conflicts")
+    assert "pairwise_conflicts" not in zlq.__all__
+    assert callable(zlq.exact.pairwise_conflicts)
