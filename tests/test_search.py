@@ -235,29 +235,33 @@ def test_width_two_improvement_runs():
 
 
 @pytest.mark.parametrize(
-    "config, sizes, digest",
+    "config, sizes, best_restart, digest",
     [
         (
             SearchConfig(q=5, seed=3, restarts=3, delete_width=2),
             (10, 10, 11),
+            2,
             "f9b4a80eb9f1e71481f9d890711113112a196362ea779b30af44814af1b103b0",
         ),
         (
             SearchConfig(q=6, seed=3, restarts=2),
             (18, 18),
+            0,  # a tie goes to the earliest restart
             "5afd2602ddda38ea96d8b53a756cf344472316699f9afdab0af8aa1349e13c5f",
         ),
         (
             SearchConfig(q=7, seed=0, restarts=1),
             (29,),
+            0,
             "1745333d8add8d34fac36a4b0745151bfb6001a26b2b9558b170e3e9ee43fe92",
         ),
     ],
     ids=["q5", "q6", "q7"],
 )
-def test_run_search_path_is_pinned(config, sizes, digest):
+def test_run_search_path_is_pinned(config, sizes, best_restart, digest):
     result = run_search(config)
     assert result.restart_sizes == sizes
+    assert result.best_restart == best_restart
     assert family_sha256(result.best) == digest
 
 
