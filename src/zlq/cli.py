@@ -56,11 +56,20 @@ def _say(quiet: bool, line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _load_family(path: str) -> Family:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable or non-UTF-8 file exits 2."""
     try:
-        return parse_family(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(2, "io", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(2, "parse", f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_family(path: str) -> Family:
+    text = _read_text(path)
+    try:
+        return parse_family(text)
     except FamilyFormatError as exc:
         raise _CliError(2, "parse", f"{path}: {exc}") from None
 
@@ -200,10 +209,7 @@ def _cmd_export_ilp(args) -> int:
 
 def _cmd_import_solution(args) -> int:
     model = build_model(args.model_q, mode=args.mode, prune_static=args.prune)
-    try:
-        text = Path(args.solution).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(2, "io", f"cannot read {args.solution}: {exc}") from None
+    text = _read_text(args.solution)
     try:
         values = parse_solution_file(text, model)
     except SolutionFormatError as exc:
@@ -280,10 +286,9 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    text = _read_text(args.graph)
     try:
-        graph = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _CliError(2, "io", f"cannot read {args.graph}: {exc}") from None
+        graph = parse_graph(text)
     except GraphFormatError as exc:
         raise _CliError(2, "parse", str(exc)) from None
     outcome = recognize_incidence(graph)

@@ -5,8 +5,9 @@ keeps the family admissible, then runs delete-and-repair improvement:
 remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
-index), so runs are bit-stable; the winning family is re-checked by the
-full verifier before it is returned.
+index), so runs are bit-stable.  ``run_search`` keeps one running best
+and returns from one place: the winner is re-checked by the full
+verifier, and a failure raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .board import (
@@ -115,9 +117,14 @@ class _Candidates:
         """Candidate indices, shuffled; the priority block stays in front."""
         first = list(range(self.priority_split))
         rest = list(range(self.priority_split, len(self.edges)))
-        stream.shuffle(first)
+        if first:
+            stream.shuffle(first)
         stream.shuffle(rest)
         return first + rest
+
+
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
 
 
 def _one_restart(
@@ -130,6 +137,8 @@ def _one_restart(
 
     The passes stop after one that gains nothing.  Every fill builds its
     own board from the edges it keeps, so a failed attempt needs no undo.
+    The order drawn and dropped after the first fit is a stream advance
+    that keeps every restart's random stream, and so its path, in place.
     Once ``deadline`` (a ``time.monotonic`` value, or None for no limit)
     has passed, no further attempt starts and the current family stands.
     """
@@ -142,9 +151,6 @@ def _one_restart(
         )
         return kept + [cands.edges[k] for k in accepted]
 
-    def expired() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
     def attempt(removals: list[TwoEdge]) -> bool:
         nonlocal family
         kept = [e for e in family if e not in removals]
@@ -152,35 +158,26 @@ def _one_restart(
         if len(trial) > len(family):
             family = trial
             return True
-        # removals go last: later passes and the pair snapshot keep the pinned search paths
+        # removals go last: later passes and the pair list keep the pinned search paths
         family = kept + removals
         return False
 
     family = fill([] if config.warm_start is None else list(config.warm_start.edges))
-    # repair fill with nothing deleted.  After a complete first-fit pass
-    # the family is already maximal (admissibility is hereditary, so a
-    # candidate rejected against part of the family stays rejected), and a
-    # second first_fit over it adds nothing
-    # (test_a_complete_first_fit_pass_leaves_nothing_to_add); the fill stays
-    # only so its shuffle keeps every restart's random stream in place
-    family = fill(family)
+    # a fill in this order would add nothing: admissibility is hereditary
+    # (test_a_complete_first_fit_pass_leaves_nothing_to_add)
+    cands.shuffled_order(stream)
     for _ in range(_IMPROVE_PASSES):
         improved = False
         for e in list(family):
-            if expired():
+            if _expired(deadline):
                 return tuple(family)
-            if e in family and attempt([e]):
+            if attempt([e]):
                 improved = True
         if config.delete_width == 2 and len(family) >= 2:
-            snapshot = list(family)
-            pairs = [
-                (snapshot[a], snapshot[b])
-                for a in range(len(snapshot))
-                for b in range(a + 1, len(snapshot))
-            ]
+            pairs = list(combinations(family, 2))
             stream.shuffle(pairs)
             for e1, e2 in pairs[:_WIDTH2_SAMPLES]:
-                if expired():
+                if _expired(deadline):
                     return tuple(family)
                 if e1 in family and e2 in family and attempt([e1, e2]):
                     improved = True
@@ -194,54 +191,39 @@ def run_search(config: SearchConfig, progress: Progress | None = None) -> Search
 
     Restarts run in index order; no restart starts once the time limit has
     passed, and ``progress`` hears each restart's size as it ends.  The
-    largest family wins, ties breaking toward the earliest restart index.
+    largest family wins, ties breaking toward the earliest restart index;
+    with no restart the warm start (or the empty family) stands.  The one
+    result is verified, and a failure raises ``RuntimeError``.
     """
     config.validate()
-
-    def empty_result() -> SearchResult:
-        best = config.warm_start or Family.from_edges(config.q, [])
-        return SearchResult(
-            config=config,
-            best=best,
-            best_size=len(best),
-            bound=config.q * (config.q + 1) + len(best),
-            restart_sizes=(),
-            best_restart=-1,
-            verified=verify(best).ok,
-        )
-
-    if config.time_limit == 0:
-        return empty_result()
-
     deadline = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
 
-    cands = _Candidates(config.q, config.mode, config.priority_vertex)
-    completed: list[tuple[int, tuple[TwoEdge, ...]]] = []
+    best_edges = () if config.warm_start is None else config.warm_start.edges
+    best_restart = -1
+    restart_sizes: list[int] = []
+    if config.restarts and not _expired(deadline):  # a spent budget builds no table
+        cands = _Candidates(config.q, config.mode, config.priority_vertex)
     for r in range(config.restarts):
-        if deadline is not None and time.monotonic() >= deadline:
+        if _expired(deadline):
             break
         edges = _one_restart(config, cands, r, deadline)
-        completed.append((r, edges))
+        restart_sizes.append(len(edges))
         if progress is not None:
             progress(f"restart {r}: size {len(edges)}")
-    restart_sizes = tuple(len(edges) for _, edges in completed)
+        if best_restart < 0 or len(edges) > len(best_edges):
+            best_edges, best_restart = edges, r
 
-    # rank candidates best-first, verify the winner, discard anything broken
-    ranked = sorted(completed, key=lambda item: (-len(item[1]), item[0]))
-    for r, edges in ranked:
-        family = Family.from_edges(config.q, edges)
-        if verify(family).ok:
-            return SearchResult(
-                config=config,
-                best=family,
-                best_size=len(edges),
-                bound=config.q * (config.q + 1) + len(edges),
-                restart_sizes=restart_sizes,
-                best_restart=r,
-                verified=True,
-            )
-        if progress is not None:  # pragma: no cover - internal invariant
-            progress(f"restart {r}: discarded unverifiable result")
-    return empty_result()
+    best = Family.from_edges(config.q, best_edges)
+    if not verify(best).ok:
+        raise RuntimeError("search produced a family that fails verification")
+    return SearchResult(
+        config=config,
+        best=best,
+        best_size=len(best),
+        bound=config.q * (config.q + 1) + len(best),
+        restart_sizes=tuple(restart_sizes),
+        best_restart=best_restart,
+        verified=True,
+    )

@@ -61,6 +61,27 @@ def test_verify_missing_file_exits_2(capsys):
     assert json.loads(err)["error"] == "io"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{bad}", "--quiet"],
+        ["search", "--q", "3", "--restarts", "1", "--quiet", "--warm-start", "{bad}"],
+        ["recognize", "--graph", "{bad}"],
+        ["import-solution", "--model-q", "3", "--solution", "{bad}"],
+    ],
+    ids=["verify", "search-warm-start", "recognize", "import-solution"],
+)
+def test_non_utf8_input_is_a_parse_error_naming_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.zlq"
+    bad.write_bytes(b"\xff\xfe q 3\n")
+    code, out, err = run_cli(capsys, *(arg.format(bad=bad) for arg in argv))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse"
+    assert str(bad) in payload["message"]
+
+
 def test_usage_error_exits_2(capsys):
     for argv, detail in (
         (["no-such-command"], "invalid choice"),

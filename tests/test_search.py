@@ -192,6 +192,26 @@ def test_run_search_zero_time_limit_returns_empty():
     assert result.best_restart == -1
 
 
+def test_run_search_raises_when_its_result_fails_verification(monkeypatch):
+    class Failing:
+        ok = False
+
+    monkeypatch.setattr(zlq.search, "verify", lambda family: Failing())
+    with pytest.raises(RuntimeError, match="fails verification"):
+        run_search(SearchConfig(q=3, seed=1, restarts=2))
+
+
+def test_zero_time_limit_builds_no_candidate_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("candidate table built under a zero budget")
+
+    monkeypatch.setattr(zlq.search, "_Candidates", no_table)
+    result = run_search(SearchConfig(q=3, time_limit=0))
+    assert result.best == Family.from_edges(3, [])
+    assert result.restart_sizes == ()
+    assert result.best_restart == -1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(q=3, delete_width=3).validate()
