@@ -177,7 +177,11 @@ def test_run_search_nondeg_mode_output_is_nondegenerate():
     assert all(classify(e) == NONDEGENERATE for e in result.best.edges)
 
 
-def test_run_search_zero_time_limit_returns_empty():
+def test_run_search_zero_time_limit_returns_empty(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("candidate table built under a zero budget")
+
+    monkeypatch.setattr(zlq.search, "_Candidates", no_table)
     result = run_search(SearchConfig(q=3, restarts=8, time_limit=0))
     assert result.best_size == 0
     assert result.verified
@@ -199,17 +203,6 @@ def test_run_search_raises_when_its_result_fails_verification(monkeypatch):
     monkeypatch.setattr(zlq.search, "verify", lambda family: Failing())
     with pytest.raises(RuntimeError, match="fails verification"):
         run_search(SearchConfig(q=3, seed=1, restarts=2))
-
-
-def test_zero_time_limit_builds_no_candidate_table(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("candidate table built under a zero budget")
-
-    monkeypatch.setattr(zlq.search, "_Candidates", no_table)
-    result = run_search(SearchConfig(q=3, time_limit=0))
-    assert result.best == Family.from_edges(3, [])
-    assert result.restart_sizes == ()
-    assert result.best_restart == -1
 
 
 def test_config_validation():
