@@ -213,7 +213,7 @@ def _cmd_import_solution(args) -> int:
     try:
         values = parse_solution_file(text, model)
     except SolutionFormatError as exc:
-        raise _CliError(2, "parse", str(exc)) from None
+        raise _CliError(2, "parse", f"{args.solution}: {exc}") from None
     imported = import_solution(model, values)
     if args.out:
         _write(args.out, serialize_family(imported.family))
@@ -290,7 +290,7 @@ def _cmd_recognize(args) -> int:
     try:
         graph = parse_graph(text)
     except GraphFormatError as exc:
-        raise _CliError(2, "parse", str(exc)) from None
+        raise _CliError(2, "parse", f"{args.graph}: {exc}") from None
     outcome = recognize_incidence(graph)
     if isinstance(outcome, Isomorphism):
         _emit(

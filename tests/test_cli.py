@@ -295,6 +295,30 @@ def test_import_solution_non_finite_value_exits_2(tmp_path, capsys):
     assert "line 1: value 'inf' is not binary" in payload["message"]
 
 
+def test_recognize_parse_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "graph.txt"
+    bad.write_text("3 3\n0 1 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "recognize", "--graph", str(bad))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse"
+    assert payload["message"] == f"{bad}: line 2: expected two integers"
+
+
+def test_import_solution_parse_error_names_the_file(tmp_path, capsys):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("x_0 inf\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "import-solution", "--model-q", "3", "--solution", str(sol)
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse"
+    assert payload["message"] == f"{sol}: line 1: value 'inf' is not binary"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,9 @@
 import pytest
 
+import zlq.admissibility
+import zlq.exact
+import zlq.lifting
+import zlq.search
 from zlq import Family, embed, lift_extend, verify
 from zlq.board import candidate_family
 from zlq.fixtures import REFERENCE_QS, reference_family
@@ -79,6 +83,23 @@ def test_lift_q5_target_and_bound():
         assert verify(report.family).ok
         assert report.achieved == achieved
         assert family_sha256(report.family) == digest
+
+
+def test_lift_extend_does_not_reverify_the_search_result(monkeypatch):
+    real = zlq.admissibility.verify
+    calls = []
+
+    def counting(family):
+        calls.append(len(family))
+        return real(family)
+
+    for module in (zlq.lifting, zlq.search, zlq.exact):
+        monkeypatch.setattr(module, "verify", counting)
+    report = lift_extend(reference_family(4), restarts=1, delete_width=1)
+    # embed checks the input and the lifted copy; the search checks its
+    # warm start and its result, which lift_extend returns unchecked
+    assert calls == [6, 6, 6, report.achieved]
+    assert real(report.family).ok
 
 
 def test_lift_q4_default_width_path_is_pinned():
