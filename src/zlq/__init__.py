@@ -25,7 +25,7 @@ from .admissibility import (
     witness_set,
 )
 from .ilp import IlpModel, build_model, export_lp, import_solution
-from .exact import ExactResult, solve_exact, upper_bound
+from .exact import ExactResult, solve_exact
 from .search import SearchConfig, SearchResult, run_search
 from .lifting import LiftReport, embed, lift_extend
 from .recognition import (
@@ -83,6 +83,5 @@ __all__ = [
     "run_search",
     "serialize_family",
     "solve_exact",
-    "upper_bound",
     "verify",
 ]

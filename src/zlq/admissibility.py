@@ -144,21 +144,17 @@ class ScratchBoard:
     placement and removal are O(1) mask updates.
     """
 
-    __slots__ = ("q", "n", "m", "rows", "rowidx", "col_masks", "row_masks", "free_cells")
+    __slots__ = ("rowidx", "col_masks", "row_masks")
 
     def __init__(self, q: int):
-        self.q = q
-        self.n = q + 1
-        self.rows = rows(q)
-        self.m = len(self.rows)
-        self.rowidx = {r: k for k, r in enumerate(self.rows)}
-        self.col_masks = [0] * self.m  # row index -> bitmask of occupied columns
-        self.row_masks = [0] * self.n  # column -> bitmask of occupied row indices
-        for k, (i, j) in enumerate(self.rows):
+        board_rows = rows(q)
+        self.rowidx = {r: k for k, r in enumerate(board_rows)}
+        self.col_masks = [0] * len(board_rows)  # row index -> bitmask of occupied columns
+        self.row_masks = [0] * (q + 1)  # column -> bitmask of occupied row indices
+        for k, (i, j) in enumerate(board_rows):
             self.col_masks[k] = (1 << i) | (1 << j)
             self.row_masks[i] |= 1 << k
             self.row_masks[j] |= 1 << k
-        self.free_cells = self.m * (q - 1)
 
     @classmethod
     def over(
@@ -188,14 +184,12 @@ class ScratchBoard:
         self.row_masks[c1] |= 1 << r1
         self.col_masks[r2] |= 1 << c2
         self.row_masks[c2] |= 1 << r2
-        self.free_cells -= 2
 
     def unplace(self, r1: int, c1: int, r2: int, c2: int) -> None:
         self.col_masks[r1] &= ~(1 << c1)
         self.row_masks[c1] &= ~(1 << r1)
         self.col_masks[r2] &= ~(1 << c2)
         self.row_masks[c2] &= ~(1 << r2)
-        self.free_cells += 2
 
     def c2_hit(self, r1: int, c1: int, r2: int, c2: int) -> bool:
         """Both opposite corners occupied (meaningful for nondegenerate only)."""

@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .board import NONDEGENERATE, classify, counting_summary
-from .families import Family, FamilyFormatError, parse_family, serialize_family
+from .board import MODES, NONDEGENERATE, classify, counting_summary
+from .families import FamilyFormatError, parse_family, serialize_family
 from .admissibility import verify
 from .ilp import (
     SolutionFormatError,
@@ -56,21 +56,15 @@ def _say(quiet: bool, line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of an input file; an unreadable or non-UTF-8 file exits 2."""
+def _load(path: str, parse):
+    """``parse`` applied to an input file's UTF-8 text; a file that fails either exits 2."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _CliError(2, "io", f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _CliError(2, "parse", f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _load_family(path: str) -> Family:
-    text = _read_text(path)
-    try:
-        return parse_family(text)
-    except FamilyFormatError as exc:
+    except (FamilyFormatError, GraphFormatError, SolutionFormatError) as exc:
         raise _CliError(2, "parse", f"{path}: {exc}") from None
 
 
@@ -108,7 +102,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _cmd_verify(args) -> int:
-    family = _load_family(args.file)
+    family = _load(args.file, parse_family)
     result = verify(family)
     if result.ok:
         _say(args.quiet, f"PASS: {len(family)} 2-edges on the q={family.q} board")
@@ -155,7 +149,7 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    warm = _load_family(args.warm_start) if args.warm_start else None
+    warm = _load(args.warm_start, parse_family) if args.warm_start else None
     config = SearchConfig(
         q=args.q,
         mode=args.mode,
@@ -173,7 +167,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    family = _load_family(args.input)
+    family = _load(args.input, parse_family)
     report = lift_extend(
         family,
         seed=args.seed,
@@ -209,11 +203,7 @@ def _cmd_export_ilp(args) -> int:
 
 def _cmd_import_solution(args) -> int:
     model = build_model(args.model_q, mode=args.mode, prune_static=args.prune)
-    text = _read_text(args.solution)
-    try:
-        values = parse_solution_file(text, model)
-    except SolutionFormatError as exc:
-        raise _CliError(2, "parse", f"{args.solution}: {exc}") from None
+    values = _load(args.solution, lambda text: parse_solution_file(text, model))
     imported = import_solution(model, values)
     if args.out:
         _write(args.out, serialize_family(imported.family))
@@ -286,11 +276,7 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    text = _read_text(args.graph)
-    try:
-        graph = parse_graph(text)
-    except GraphFormatError as exc:
-        raise _CliError(2, "parse", f"{args.graph}: {exc}") from None
+    graph = _load(args.graph, parse_graph)
     outcome = recognize_incidence(graph)
     if isinstance(outcome, Isomorphism):
         _emit(
@@ -399,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-exact", help="exact maximum family via branch and bound")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=["full", "nondeg"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--symmetry", action="store_true",
                    help="restrict first-level branching to orbit representatives")
     p.add_argument("--node-limit", type=int, default=None)
@@ -413,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--mode", choices=["full", "nondeg"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--delete-width", type=int, choices=[1, 2], default=1)
     p.add_argument("--warm-start", help="family file to start every restart from")
@@ -436,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-ilp", help="write the 0-1 model in LP format")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=["full", "nondeg"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--prune", action="store_true",
                    help="fix statically infeasible candidates to zero")
     p.add_argument("--out", required=True)
@@ -444,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("import-solution", help="extract and verify a solver assignment")
     p.add_argument("--model-q", type=int, required=True)
-    p.add_argument("--mode", choices=["full", "nondeg"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--prune", action="store_true")
     p.add_argument("--solution", required=True)
     p.add_argument("--out", help="write the extracted family file here")

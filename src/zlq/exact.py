@@ -10,7 +10,9 @@ everything chosen.  Pruning combines
 * a compatibility mask per candidate (pairs whose two-element family is
   already inadmissible can never coexist),
 * the count of still-compatible later candidates,
-* the free-cell bound: each further edge consumes two free cells,
+* the free-cell cap: each edge takes two distinct free cells, so no
+  extension of the base has more than ``available // 2 - len(base)``
+  edges (``available`` from ``counting_summary``),
 * optionally, vertex-relabeling symmetry: the candidate chosen first can
   be restricted to one representative per orbit of the relabeling action,
   because every family has a relabeled image whose first candidate (in the
@@ -35,7 +37,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .board import Mode, TwoEdge, candidate_family, check_budget, check_mode, check_q, make_edge
+from .board import (
+    Mode,
+    TwoEdge,
+    candidate_family,
+    check_budget,
+    check_mode,
+    check_q,
+    counting_summary,
+    make_edge,
+)
 from .families import Family
 from .admissibility import ScratchBoard, verify
 
@@ -61,11 +72,6 @@ class ExactResult:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def upper_bound(chosen: int, compatible_remaining: int, free_cells: int) -> int:
-    """Admissible completion bound: every extra edge needs two free cells."""
-    return chosen + min(compatible_remaining, free_cells // 2)
 
 
 def apply_vertex_permutation(perm: tuple[int, ...], edge: TwoEdge) -> TwoEdge:
@@ -164,9 +170,12 @@ def _solve(
 
     The one branch-and-bound core behind both public solvers.  The search's
     board also serves the conflict pass; the incumbent seed gets a second.
+    A node with ``size`` chosen candidates and ``remaining`` compatible
+    later ones is pruned when ``min(size + remaining, cap)`` cannot beat the
+    incumbent; ``cap`` is the free-cell cap, fixed for the whole solve.
     Symmetry is sound only when the base is empty and the candidate list is
     closed under vertex relabeling.  Budgets count from ``start`` and must be
-    non-negative.
+    non-negative; the reported node count never exceeds the node budget.
     """
     check_budget("node limit", node_limit)
     check_budget("time limit", time_limit)
@@ -207,29 +216,24 @@ def _solve(
     # incumbent seed: first-fit over the static order, on a board of its own
     seed_board, seed_placed = ScratchBoard.over(q, base.edges)
     best = tuple(seed_board.first_fit(range(len(edges)), coords, nondeg, seed_placed))
+    cap = counting_summary(q).available // 2 - len(base)  # each edge takes two free cells
     events: list[dict] = [
-        {
-            "event": "bound",
-            "where": "root",
-            "value": upper_bound(0, len(edges), scratch.free_cells),
-            "incumbent": len(best),
-        }
+        {"event": "bound", "where": "root", "value": min(len(edges), cap), "incumbent": len(best)}
     ]
     nodes = 0
     chosen: list[int] = []
     placed = list(base_placed)
 
-    def rec(remaining: int, depth: int) -> None:
+    def rec(remaining: int) -> None:
         nonlocal best, nodes
         size = len(chosen)
         cutoff = len(best)
         while remaining:
-            bound = upper_bound(size, remaining.bit_count(), scratch.free_cells)
-            if bound <= cutoff:
+            if min(size + remaining.bit_count(), cap) <= cutoff:
                 return
             i = (remaining & -remaining).bit_length() - 1
             remaining &= remaining - 1
-            if depth == 0 and not (level0_mask >> i) & 1:
+            if size == 0 and not (level0_mask >> i) & 1:
                 continue
             nodes += 1
             if nodes % 65536 == 0:
@@ -246,7 +250,7 @@ def _solve(
                 if size + 1 > cutoff:
                     best = tuple(chosen)
                     events.append({"event": "incumbent", "size": size + 1, "nodes": nodes})
-                rec(remaining & ~conflicts[i], depth + 1)
+                rec(remaining & ~conflicts[i])
                 chosen.pop()
                 placed.pop()
                 scratch.unplace(*ci)
@@ -254,9 +258,11 @@ def _solve(
 
     status = OPTIMAL
     try:
-        rec(every, 0)
+        rec(every)
     except _BudgetExhausted:
         status = INCUMBENT
+        if node_limit is not None:
+            nodes = min(nodes, node_limit)  # a zero budget raises on a first node it never visits
     del rec  # rec holds itself through its closure cell; the cycle would pin the masks
 
     certificate = Family.from_edges(q, list(base.edges) + [edges[k] for k in best])

@@ -63,6 +63,8 @@ class SearchConfig:
         check_budget("time limit", self.time_limit)
         if self.delete_width not in (1, 2):
             raise ValueError("delete width must be 1 or 2")
+        if self.priority_vertex is not None and not 0 <= self.priority_vertex <= self.q:
+            raise ValueError(f"priority vertex must lie in 0..{self.q}")
         if self.warm_start is not None:
             if self.warm_start.q != self.q:
                 raise ValueError("warm start family lives on a different board")

@@ -19,7 +19,7 @@ from zlq.admissibility import (
     static_prune_flags,
     witness_set,
 )
-from zlq.board import NONDEGENERATE, candidate_family, rows
+from zlq.board import NONDEGENERATE, candidate_family, counting_summary, rows
 from zlq.families import parse_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.rng import derive_stream
@@ -290,7 +290,6 @@ def test_over_and_fitting_keep_what_verifies_with_the_base():
         for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
             scratch, placed = ScratchBoard.over(q, base.edges)
             assert placed == [scratch.placed_entry(g) for g in base.edges]
-            assert scratch.free_cells == ScratchBoard(q).free_cells - 2 * len(base)
             edges, coords, nondeg = scratch.fitting(cands, placed)
             expected = [
                 e for e in cands if verify(Family(q=q, edges=base.edges + (e,))).ok
@@ -298,17 +297,24 @@ def test_over_and_fitting_keep_what_verifies_with_the_base():
             assert edges == expected
             assert coords == [scratch.coords(e) for e in edges]
             assert nondeg == [classify(e) == NONDEGENERATE for e in edges]
+    # the solver's free-cell cap rests on this: each base edge takes two distinct free cells
+    for q in (3, 4, 5, 6):
+        for _ in range(5):
+            base = random_subfamily(rng, reference_family(q))
+            scratch, _ = ScratchBoard.over(q, base.edges)
+            free = sum(q + 1 - mask.bit_count() for mask in scratch.col_masks)
+            assert free == counting_summary(q).available - 2 * len(base)
 
 
 def test_scratch_board_roundtrip():
     s = ScratchBoard(3)
     coords = s.coords(((0, 1, 2), (0, 3, 1)))
-    before = (list(s.col_masks), list(s.row_masks), s.free_cells)
+    before = (list(s.col_masks), list(s.row_masks))
     assert s.cells_free(*coords)
     s.place(*coords)
     assert not s.cells_free(*coords)
     s.unplace(*coords)
-    assert (list(s.col_masks), list(s.row_masks), s.free_cells) == before
+    assert (list(s.col_masks), list(s.row_masks)) == before
 
 
 def _rule_hits(q, edges, edge):
@@ -380,7 +386,7 @@ def test_rule_cells_examples():
 
 
 def _board_state(scratch):
-    return list(scratch.col_masks), list(scratch.row_masks), scratch.free_cells
+    return list(scratch.col_masks), list(scratch.row_masks)
 
 
 def _first_fit_by_hand(scratch, order, coords, nondeg, placed):

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, upper_bound, verify
+from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
 from zlq.admissibility import ScratchBoard
-from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify
+from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify, counting_summary
 from zlq.exact import (
     apply_vertex_permutation,
     candidate_orbits,
@@ -140,21 +140,50 @@ def test_conflicts_over_a_base_agree_with_verification():
 def test_conflicts_leave_the_board_as_found(base_size):
     board, placed = ScratchBoard.over(4, reference_family(4).edges[:base_size])
     _, coords, nondeg = board.fitting(candidate_family(4, "full"), placed)
-    state = (list(board.col_masks), list(board.row_masks), board.free_cells, list(placed))
+    state = (list(board.col_masks), list(board.row_masks), list(placed))
     masks = pairwise_conflicts(board, coords, nondeg, placed)
     assert any(masks)
-    assert (board.col_masks, board.row_masks, board.free_cells, placed) == state
+    assert (board.col_masks, board.row_masks, placed) == state
     # a deadline already past fills no row: the empty relation is sound
     stale = pairwise_conflicts(board, coords, nondeg, placed, time.monotonic() - 1.0)
     assert stale == [0] * len(coords)
-    assert (board.col_masks, board.row_masks, board.free_cells, placed) == state
+    assert (board.col_masks, board.row_masks, placed) == state
 
 
-def test_upper_bound_properties():
-    assert upper_bound(0, 30, 12) == 6  # q=3 root: the free-cell cap binds
-    assert upper_bound(0, 30, 12) >= 2
-    assert upper_bound(5, 17, 0) == 5  # all cells used
-    assert upper_bound(0, 285, 30) >= 6  # q=4 root dominates the optimum
+def _root_bound(result, candidates, base_size):
+    """The root ``bound`` event, and the compatible-count bound under the free-cell cap."""
+    cap = counting_summary(result.q).available // 2 - base_size
+    assert result.events[0]["event"] == "bound" and result.events[0]["where"] == "root"
+    return result.events[0]["value"], min(len(candidates) - result.pruned_static, cap)
+
+
+def test_root_bound_is_the_usable_count_under_the_free_cell_cap():
+    for q, node_limit in ((2, None), (3, None), (4, 2_000), (5, 2_000)):
+        result = solve_exact(q, node_limit=node_limit)
+        value, expected = _root_bound(result, candidate_family(q), 0)
+        assert value == expected, q
+        assert value >= result.size
+    # q=3: 30 usable candidates, but 12 free cells hold at most 6 edges
+    assert solve_exact(3).events[0]["value"] == 6
+    base = embed(reference_family(4))
+    pool = new_vertex_candidates(5, candidate_family(5, "full"))
+    result = solve_extension(base, pool, node_limit=2_000)
+    value, expected = _root_bound(result, pool, len(base))
+    assert value == expected == 24  # 60 free cells, 6 base edges
+
+
+def test_a_zero_node_budget_visits_no_node():
+    for q in (3, 4):
+        result = solve_exact(q, node_limit=0)
+        assert result.status == "incumbent" and result.nodes == 0
+        assert result.events[-1] == {
+            "event": "done", "status": "incumbent", "size": result.size, "nodes": 0
+        }
+        assert verify(result.certificate).ok
+        assert solve_exact(q, node_limit=1).nodes == 1
+    # the root bound proves q=2 before any node is visited
+    result = solve_exact(2, node_limit=0)
+    assert result.optimal and result.nodes == 0
 
 
 def test_orbits_partition_the_candidates():

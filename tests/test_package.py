@@ -18,6 +18,9 @@ def test_retired_verifier_names_are_gone():
 def test_retired_solver_and_family_names_are_gone():
     assert "canonical_certificate" not in inspect.signature(zlq.solve_exact).parameters
     assert not hasattr(zlq.Family, "size")
+    assert not hasattr(zlq, "upper_bound") and not hasattr(zlq.exact, "upper_bound")
+    assert "upper_bound" not in zlq.__all__
+    assert not hasattr(zlq.ScratchBoard(3), "free_cells")
 
 
 def test_conflict_kernel_is_not_exported():

@@ -306,6 +306,12 @@ def test_config_validation():
             SearchConfig(q=4, time_limit=bad).validate()
     SearchConfig(q=4, time_limit=0).validate()
     SearchConfig(q=4, time_limit=float("inf")).validate()
+    # a vertex that no candidate touches would silently run a plain search
+    for bad in (-1, 4, 9):
+        with pytest.raises(ValueError, match=r"priority vertex must lie in 0\.\.3"):
+            SearchConfig(q=3, priority_vertex=bad).validate()
+    SearchConfig(q=3, priority_vertex=0).validate()
+    SearchConfig(q=3, priority_vertex=3).validate()
 
 
 @pytest.mark.parametrize("q, priority_vertex", [(4, None), (5, None), (6, None), (6, 6)])
