@@ -33,11 +33,19 @@ the batched form of the kernel: greedy first-fit over a candidate order,
 shared by the search fills and the exact solver's seed.  Every kernel
 board is built one way: ``ScratchBoard.over`` places a base family and
 ``ScratchBoard.fitting`` keeps the candidates that fit it.
+
+``CandidateSlices`` is the bit-sliced view of a candidate table: one
+bitmask over candidate indices per row and per column, for each half.
+``CandidateSlices.own_ok`` judges the own rules of every candidate on one
+board at once and equals ``insertion_ok`` with nothing placed, by tested
+contract.  The search filters each fill's order through it, so the kernel
+sees only the candidates whose own rules hold on the fill's starting board.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .board import (
@@ -288,6 +296,89 @@ class ScratchBoard:
                 placed.append((*ck, nondeg[k]))
                 accepted.append(k)
         return accepted
+
+
+def _slices(coords: Sequence[tuple[int, ...]], part: int, size: int) -> list[int]:
+    """Mask v, for v in range(size), has bit k set when ``coords[k][part]`` is v.
+
+    Linear per mask, and in C: the values become one string, one code
+    point each, last candidate first, which each mask translates to binary
+    digits and parses.
+    """
+    text = "".join(map(chr, map(itemgetter(part), reversed(coords))))
+    zeros = "0" * size
+    return [int(text.translate(zeros[:v] + "1" + zeros[v + 1 :]) or "0", 2) for v in range(size)]
+
+
+def _unions(lines: list[int], first: list[int], second: list[int]) -> tuple[list[int], list[int]]:
+    """Per line, the unions of ``first[i]`` and of ``second[i]`` over its set bits i."""
+    out_first, out_second = [], []
+    for bits in lines:
+        u = v = 0
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            bits ^= low
+            u |= first[i]
+            v |= second[i]
+        out_first.append(u)
+        out_second.append(v)
+    return out_first, out_second
+
+
+class CandidateSlices:
+    """A candidate table cut into bitmasks over candidate indices.
+
+    Bit k of ``row1[x]`` (``row2[x]``) is set when candidate k's first
+    (second) half lies in row index x, and bit k of ``col1[y]``
+    (``col2[y]``) when it lies in column y.  ``own_ok`` judges every
+    candidate's own rules on one board at once, in a few hundred mask
+    operations.
+    """
+
+    __slots__ = ("row1", "row2", "col1", "col2", "everything")
+
+    def __init__(self, q: int, coords: Sequence[tuple[int, int, int, int]]):
+        n_rows, n_cols = len(rows(q)), q + 1
+        self.row1, self.col1, self.row2, self.col2 = (
+            _slices(coords, part, size)
+            for part, size in enumerate((n_rows, n_cols, n_rows, n_cols))
+        )
+        self.everything = (1 << len(coords)) - 1
+
+    def own_ok(self, board: ScratchBoard) -> int:
+        """The mask of the candidates whose own rules hold on ``board``.
+
+        Equal, by tested contract, to the candidates that
+        ``board.insertion_ok`` accepts with nothing placed.  A candidate
+        passes when both its cells are free (S), when not both its corners
+        are occupied (C2), and when no occupied (x, y) has c1 and c2
+        occupied in row x and r1 and r2 occupied in column y (C3).  Once
+        both own cells are free, such an x lies outside {r1, r2} and such a
+        y outside {c1, c2}, as the five-cell rule asks; and a degenerate
+        candidate's corners are its own cells, so C2 needs no degeneracy
+        test.
+        """
+        # per row x: candidates whose first / second column is occupied in row x
+        in_row1, in_row2 = _unions(board.col_masks, self.col1, self.col2)
+        # per column y: candidates whose first / second row is occupied in column y
+        in_col1, in_col2 = _unions(board.row_masks, self.row1, self.row2)
+        both_in_row = [a & b for a, b in zip(in_row1, in_row2)]
+        taken = corner1 = corner2 = five = 0
+        for y, xs in enumerate(board.row_masks):
+            at1, at2 = in_col1[y], in_col2[y]
+            taken |= self.col1[y] & at1 | self.col2[y] & at2  # (r1, c1) or (r2, c2) occupied
+            corner1 |= self.col2[y] & at1  # (r1, c2) occupied
+            corner2 |= self.col1[y] & at2  # (r2, c1) occupied
+            both_in_col = at1 & at2
+            if both_in_col:
+                witnesses = 0  # candidates with c1 and c2 occupied in some row x occupied at y
+                while xs:
+                    low = xs & -xs
+                    witnesses |= both_in_row[low.bit_length() - 1]
+                    xs ^= low
+                five |= both_in_col & witnesses
+        return self.everything & ~(taken | corner1 & corner2 | five)
 
 
 def _claims(family: Family) -> dict[Cell, list[int]]:

@@ -5,9 +5,12 @@ keeps the family admissible, then runs delete-and-repair improvement:
 remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
-index), so runs are bit-stable.  ``run_search`` keeps one running best
-and returns from one place: the winner is re-checked by the full
-verifier, and a failure raises ``RuntimeError``.
+index), so runs are bit-stable.  Each fill draws its shuffled order, drops
+the candidates whose own rules fail on its starting board (one
+``CandidateSlices.own_ok`` mask) and first-fits the rest; heredity makes
+the drop exact, so it changes no accepted list.  ``run_search`` keeps one
+running best and returns from one place: the winner is re-checked by the
+full verifier, and a failure raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .board import (
     touches_vertex,
 )
 from .families import Family
-from .admissibility import ScratchBoard, verify
+from .admissibility import CandidateSlices, ScratchBoard, verify
 from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
@@ -102,7 +105,7 @@ class SearchResult:
 class _Candidates:
     """Shared immutable candidate table for one search run."""
 
-    __slots__ = ("edges", "coords", "nondeg", "priority_split")
+    __slots__ = ("edges", "coords", "nondeg", "slices", "priority_split")
 
     def __init__(self, q: int, mode: Mode, priority_vertex: int | None):
         pool = candidate_family(q, mode)
@@ -111,6 +114,7 @@ class _Candidates:
             pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
         # the static prune: keep what fits the empty board
         self.edges, self.coords, self.nondeg = ScratchBoard(q).fitting(pool, [])
+        self.slices = CandidateSlices(q, self.coords)
         self.priority_split = 0  # an empty priority block draws nothing from the stream
         if priority_vertex is not None:
             self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
@@ -123,6 +127,19 @@ class _Candidates:
             stream.shuffle(first)
         stream.shuffle(rest)
         return first + rest
+
+    def first_fit(
+        self, board: ScratchBoard, placed: list[tuple[int, int, int, int, bool]], order: list[int]
+    ) -> list[int]:
+        """``board.first_fit`` over ``order`` less the candidates whose own rules fail on ``board``.
+
+        The same accepted list as the unfiltered pass, by heredity: the
+        board only gains cells during the pass, so a candidate whose own
+        rules fail on the starting board fails on every later one.
+        """
+        fits = format(self.slices.own_ok(board), "b").zfill(len(self.edges))[::-1]
+        order = [k for k in order if fits[k] == "1"]
+        return board.first_fit(order, self.coords, self.nondeg, placed)
 
 
 def _expired(deadline: float | None) -> bool:
@@ -148,9 +165,7 @@ def _one_restart(
 
     def fill(kept: list[TwoEdge]) -> list[TwoEdge]:
         board, placed = ScratchBoard.over(config.q, kept)
-        accepted = board.first_fit(
-            cands.shuffled_order(stream), cands.coords, cands.nondeg, placed
-        )
+        accepted = cands.first_fit(board, placed, cands.shuffled_order(stream))
         return kept + [cands.edges[k] for k in accepted]
 
     def attempt(removals: list[TwoEdge]) -> bool:

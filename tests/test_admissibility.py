@@ -12,6 +12,7 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import (
+    CandidateSlices,
     ScratchBoard,
     cell_claims,
     corner_cells,
@@ -491,3 +492,48 @@ def test_insertion_ok_leaves_the_board_unchanged():
                 verdicts.add(verdict)
                 assert (_board_state(scratch), placed) == before, e
         assert verdicts == {True, False}  # both an accept and a reject were seen
+
+
+def _kernel_mask(board, coords, nondeg):
+    """The candidates ``insertion_ok`` accepts on ``board`` alone, as a mask."""
+    return sum(1 << k for k, ck in enumerate(coords) if board.insertion_ok(ck, nondeg[k], []))
+
+
+def _random_boards(rng, q, rounds):
+    """Empty, partial and maximal boards of random admissible families."""
+    boards = [ScratchBoard(q)]
+    cands = candidate_family(q, "full")
+    lookup = ScratchBoard(q)
+    coords = [lookup.coords(e) for e in cands]
+    nondeg = [classify(e) == NONDEGENERATE for e in cands]
+    for _ in range(rounds):
+        order = list(range(len(cands)))
+        rng.shuffle(order)
+        board, placed = ScratchBoard.over(q, [])
+        maximal = [cands[k] for k in board.first_fit(order, coords, nondeg, placed)]
+        partial = rng.sample(maximal, rng.randint(1, len(maximal) - 1)) if len(maximal) > 1 else []
+        boards += [ScratchBoard.over(q, partial)[0], board]
+    return boards
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q, rounds", [(2, 1), (3, 30), (4, 30), (5, 5), (6, 3), (7, 2)])
+def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
+    # the whole pool, statically infeasible and degenerate candidates included
+    rng = random.Random(89 * q + len(mode))
+    pool = candidate_family(q, mode)
+    lookup = ScratchBoard(q)
+    coords = [lookup.coords(e) for e in pool]
+    nondeg = [classify(e) == NONDEGENERATE for e in pool]
+    slices = CandidateSlices(q, coords)
+    boards = _random_boards(rng, q, rounds)
+    for board in boards:
+        before = _board_state(board)
+        assert slices.own_ok(board) == _kernel_mask(board, coords, nondeg)
+        assert _board_state(board) == before
+    # on the empty board the mask is the static prune
+    kept = set(ScratchBoard(q).fitting(pool, [])[0])
+    static = sum(1 << k for k, e in enumerate(pool) if e in kept)
+    assert slices.own_ok(boards[0]) == static
+    if q >= 3:
+        assert 0 < static < slices.everything == (1 << len(pool)) - 1

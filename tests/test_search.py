@@ -1,8 +1,8 @@
 import random
 import sys
-import time
 from array import array
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -365,9 +365,70 @@ def test_run_search_path_is_pinned(config, sizes, best_restart, digest):
     assert family_sha256(result.best) == digest
 
 
-def test_time_limit_cuts_improvement_short():
-    start = time.monotonic()
-    result = run_search(SearchConfig(q=7, restarts=1, time_limit=0.5))
-    assert time.monotonic() - start < 1.2
-    assert len(result.restart_sizes) == 1
+def test_time_limit_cuts_improvement_short(monkeypatch):
+    # a clock that passes the deadline as soon as the first fill ends
+    fills = []
+    first_fit = zlq.search._Candidates.first_fit
+
+    def counted_fill(self, board, placed, order):
+        accepted = first_fit(self, board, placed, order)
+        fills.append(len(placed))
+        return accepted
+
+    expired_reads = []
+
+    def clock():
+        expired_reads.append(bool(fills))
+        return 1e9 if fills else 0.0
+
+    monkeypatch.setattr(zlq.search._Candidates, "first_fit", counted_fill)
+    monkeypatch.setattr(zlq.search, "time", SimpleNamespace(monotonic=clock))
+    result = run_search(SearchConfig(q=7, restarts=2, time_limit=0.5))
+    assert len(fills) == 1 and fills[0] > 0  # a first fit, and no repair attempt
+    assert True in expired_reads  # the deadline fired, nothing else stopped the run
+    assert result.restart_sizes == (fills[0],)  # the cut restart kept its first fit
     assert result.verified and verify(result.best).ok
+
+
+def test_run_search_on_an_empty_candidate_table():
+    # every q=2 candidate breaks a rule on its own, so the static prune keeps none
+    cands = zlq.search._Candidates(2, "full", None)
+    assert cands.edges == []
+    assert cands.slices.own_ok(ScratchBoard(2)) == cands.slices.everything == 0
+    result = run_search(SearchConfig(q=2, restarts=2))
+    assert result.restart_sizes == (0, 0)
+    assert result.best_size == 0
+    assert result.best_restart == 0
+    assert result.verified and verify(result.best).ok
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(q=4, seed=2, restarts=1),
+        SearchConfig(q=5, mode="nondeg", seed=3, restarts=1),
+        SearchConfig(q=5, seed=4, restarts=1, warm_start=reference_family(5)),
+        SearchConfig(q=6, seed=5, restarts=1, priority_vertex=6,
+                     warm_start=embed(reference_family(5))),
+        SearchConfig(q=7, seed=6, restarts=1, priority_vertex=0),
+    ],
+    ids=["q4", "q5-nondeg", "q5-warm", "q6-lift", "q7-priority"],
+)
+def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config):
+    # heredity: a candidate failing its own rules on the starting board
+    # fails on every later board of the same fill
+    cands = zlq.search._Candidates(config.q, config.mode, config.priority_vertex)
+    found = list(run_search(config).best.edges)
+    rng = random.Random(config.seed)
+    stream = derive_stream(config.seed, 1)
+    for size in (0, len(found) // 3, len(found) // 2, len(found) - 1, len(found)):
+        kept = rng.sample(found, size)
+        order = cands.shuffled_order(stream)
+        fast, fast_placed = ScratchBoard.over(config.q, kept)
+        slow, slow_placed = ScratchBoard.over(config.q, kept)
+        accepted = cands.first_fit(fast, fast_placed, order)
+        assert accepted == slow.first_fit(order, cands.coords, cands.nondeg, slow_placed)
+        assert fast_placed == slow_placed
+        assert (fast.col_masks, fast.row_masks) == (slow.col_masks, slow.row_masks)
+        if size == len(found):
+            assert accepted == []  # a search result is maximal
