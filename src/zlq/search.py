@@ -5,10 +5,12 @@ keeps the family admissible, then runs delete-and-repair improvement:
 remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
-index), so runs are bit-stable.  Each fill draws its shuffled order, drops
-the candidates whose own rules fail on its starting board (one
-``CandidateSlices.own_ok`` mask) and first-fits the rest; heredity makes
-the drop exact, so it changes no accepted list.  ``run_search`` keeps one
+index), so runs are bit-stable.  Each fill keeps the candidates whose own
+rules hold on its starting board (one ``CandidateSlices.own_ok`` mask),
+shuffles only those and first-fits them.  Heredity makes the drop exact,
+and a uniform shuffle of the whole table restricts to a uniform shuffle of
+the survivors, so each fill's result keeps its distribution.  The static
+prune is the same mask on the empty board.  ``run_search`` keeps one
 running best and returns from one place: the winner is re-checked by the
 full verifier, and a failure raises ``RuntimeError``.
 """
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable
 
 from .board import (
@@ -30,6 +33,8 @@ from .admissibility import CandidateSlices, ScratchBoard, verify
 from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 # delete-and-repair passes per restart, and pairs tried per pass when
 # ``delete_width`` is 2
@@ -112,34 +117,44 @@ class _Candidates:
         if priority_vertex is not None:
             # stable: candidates touching the vertex first, each block in pool order
             pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
-        # the static prune: keep what fits the empty board
-        self.edges, self.coords, self.nondeg = ScratchBoard(q).fitting(pool, [])
+        # the static prune: keep what fits the empty board, judged in one mask
+        empty = ScratchBoard(q)
+        pool_coords = [empty.coords(e) for e in pool]
+        kept = _set_bits(CandidateSlices(q, pool_coords).own_ok(empty))
+        self.edges = [pool[k] for k in kept]
+        self.coords = [pool_coords[k] for k in kept]
+        self.nondeg = [classify(e) == NONDEGENERATE for e in self.edges]
         self.slices = CandidateSlices(q, self.coords)
-        self.priority_split = 0  # an empty priority block draws nothing from the stream
+        self.priority_split = 0
         if priority_vertex is not None:
             self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
 
-    def shuffled_order(self, stream: SplitMix64) -> list[int]:
-        """Candidate indices, shuffled; the priority block stays in front."""
-        first = list(range(self.priority_split))
-        rest = list(range(self.priority_split, len(self.edges)))
+    def first_fit(
+        self, board: ScratchBoard, placed: list[tuple[int, int, int, int, bool]], stream: SplitMix64
+    ) -> list[int]:
+        """One fill: ``board.first_fit`` over a shuffle of the candidates whose own rules hold.
+
+        The survivors of ``board`` keep the priority block in front; each
+        block is shuffled with ``stream`` (an empty one draws nothing).  By
+        heredity this accepts what a first fit over the whole table would
+        in any order that restricts to this one: the board only gains
+        cells during the pass, so a candidate whose own rules fail on the
+        starting board fails on every later one.  And a uniform shuffle of
+        the whole table restricts to a uniform shuffle of the survivors.
+        """
+        survivors = _set_bits(self.slices.own_ok(board))
+        split = bisect_left(survivors, self.priority_split)
+        first, rest = survivors[:split], survivors[split:]
         if first:
             stream.shuffle(first)
         stream.shuffle(rest)
-        return first + rest
+        return board.first_fit(first + rest, self.coords, self.nondeg, placed)
 
-    def first_fit(
-        self, board: ScratchBoard, placed: list[tuple[int, int, int, int, bool]], order: list[int]
-    ) -> list[int]:
-        """``board.first_fit`` over ``order`` less the candidates whose own rules fail on ``board``.
 
-        The same accepted list as the unfiltered pass, by heredity: the
-        board only gains cells during the pass, so a candidate whose own
-        rules fail on the starting board fails on every later one.
-        """
-        fits = format(self.slices.own_ok(board), "b").zfill(len(self.edges))[::-1]
-        order = [k for k in order if fits[k] == "1"]
-        return board.first_fit(order, self.coords, self.nondeg, placed)
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    digits = format(mask, "b")[::-1].encode().translate(_BINARY_DIGITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def _expired(deadline: float | None) -> bool:
@@ -155,17 +170,17 @@ def _one_restart(
     """A shuffled first fit, then up to ``_IMPROVE_PASSES`` delete-and-repair passes.
 
     The passes stop after one that gains nothing.  Every fill builds its
-    own board from the edges it keeps, so a failed attempt needs no undo.
-    The order drawn and dropped after the first fit is a stream advance
-    that keeps every restart's random stream, and so its path, in place.
-    Once ``deadline`` (a ``time.monotonic`` value, or None for no limit)
-    has passed, no further attempt starts and the current family stands.
+    own board from the edges it keeps, so a failed attempt needs no undo,
+    and shuffles its survivors with the restart's one stream.  No repair
+    fill follows the first fit: by heredity it would add nothing.  Once
+    ``deadline`` (a ``time.monotonic`` value, or None for no limit) has
+    passed, no further attempt starts and the current family stands.
     """
     stream = derive_stream(config.seed, index)
 
     def fill(kept: list[TwoEdge]) -> list[TwoEdge]:
         board, placed = ScratchBoard.over(config.q, kept)
-        accepted = cands.first_fit(board, placed, cands.shuffled_order(stream))
+        accepted = cands.first_fit(board, placed, stream)
         return kept + [cands.edges[k] for k in accepted]
 
     def attempt(removals: list[TwoEdge]) -> bool:
@@ -180,9 +195,6 @@ def _one_restart(
         return False
 
     family = fill([] if config.warm_start is None else list(config.warm_start.edges))
-    # a fill in this order would add nothing: admissibility is hereditary
-    # (test_a_complete_first_fit_pass_leaves_nothing_to_add)
-    cands.shuffled_order(stream)
     for _ in range(_IMPROVE_PASSES):
         improved = False
         for e in list(family):

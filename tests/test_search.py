@@ -1,6 +1,7 @@
 import random
 import sys
 from array import array
+from dataclasses import replace
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import ScratchBoard
-from zlq.board import NONDEGENERATE
+from zlq.board import NONDEGENERATE, candidate_family, touches_vertex
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
 from zlq.rng import SplitMix64, derive_stream, mix64
@@ -317,15 +318,35 @@ def test_config_validation():
 @pytest.mark.parametrize("q, priority_vertex", [(4, None), (5, None), (6, None), (6, 6)])
 def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
     # hereditarity: a candidate rejected against part of the family stays
-    # rejected, so the repair pass of a restart never adds an edge
+    # rejected, so a second fill on the first one's board adds nothing and
+    # a restart needs no repair fill after its first fit
     base = [] if priority_vertex is None else list(embed(reference_family(q - 1)).edges)
     cands = zlq.search._Candidates(q, "full", priority_vertex)
     for seed in range(3):
         stream = derive_stream(seed, 0)
         board, placed = ScratchBoard.over(q, base)
-        args = (cands.coords, cands.nondeg, placed)
-        assert board.first_fit(cands.shuffled_order(stream), *args)
-        assert board.first_fit(cands.shuffled_order(stream), *args) == []
+        assert cands.first_fit(board, placed, stream)
+        assert cands.first_fit(board, placed, stream) == []
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_the_static_prune_mask_keeps_the_kernel_table(q):
+    # one own-rule mask on the empty board keeps what the kernel keeps, in order
+    for mode in ("full", "nondeg"):
+        for priority_vertex in (None, 0, q):
+            pool = candidate_family(q, mode)
+            if priority_vertex is not None:
+                pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
+            edges, coords, nondeg = ScratchBoard(q).fitting(pool, [])
+            cands = zlq.search._Candidates(q, mode, priority_vertex)
+            assert (cands.edges, cands.coords, cands.nondeg) == (edges, coords, nondeg)
+            split = cands.priority_split
+            if priority_vertex is None:
+                assert split == 0
+            else:
+                assert [touches_vertex(e, priority_vertex) for e in edges] == (
+                    [True] * split + [False] * (len(edges) - split)
+                )
 
 
 def test_width_two_improvement_runs():
@@ -339,21 +360,21 @@ def test_width_two_improvement_runs():
     [
         (
             SearchConfig(q=5, seed=3, restarts=3, delete_width=2),
-            (10, 10, 11),
-            2,
-            "f9b4a80eb9f1e71481f9d890711113112a196362ea779b30af44814af1b103b0",
+            (10, 11, 11),
+            1,  # a tie goes to the earliest restart
+            "68987026da25dafe3d73aad562fd7930c01d70200a99433adf6e1d18750df06f",
         ),
         (
             SearchConfig(q=6, seed=3, restarts=2),
             (18, 18),
             0,  # a tie goes to the earliest restart
-            "5afd2602ddda38ea96d8b53a756cf344472316699f9afdab0af8aa1349e13c5f",
+            "01536ecf1a5cd2cf937ba9da3f2b484873891edee7edc25ab54dd1f7ac6c7b8f",
         ),
         (
             SearchConfig(q=7, seed=0, restarts=1),
-            (29,),
+            (30,),
             0,
-            "1745333d8add8d34fac36a4b0745151bfb6001a26b2b9558b170e3e9ee43fe92",
+            "a649ddbe15671e651ab6b6668126a0020863c6b1dc7b521478cb00c80be16057",
         ),
     ],
     ids=["q5", "q6", "q7"],
@@ -370,8 +391,8 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
     fills = []
     first_fit = zlq.search._Candidates.first_fit
 
-    def counted_fill(self, board, placed, order):
-        accepted = first_fit(self, board, placed, order)
+    def counted_fill(self, board, placed, stream):
+        accepted = first_fit(self, board, placed, stream)
         fills.append(len(placed))
         return accepted
 
@@ -402,6 +423,14 @@ def test_run_search_on_an_empty_candidate_table():
     assert result.verified and verify(result.best).ok
 
 
+def _interleave(rng, first, second):
+    """A random merge of two lists that keeps the order within each."""
+    tags = [0] * len(first) + [1] * len(second)
+    rng.shuffle(tags)
+    sources = (iter(first), iter(second))
+    return [next(sources[t]) for t in tags]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -414,21 +443,92 @@ def test_run_search_on_an_empty_candidate_table():
     ],
     ids=["q4", "q5-nondeg", "q5-warm", "q6-lift", "q7-priority"],
 )
-def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config):
-    # heredity: a candidate failing its own rules on the starting board
-    # fails on every later board of the same fill
+def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatch):
+    # a fill first-fits a shuffle of the candidates whose own rules hold on
+    # its starting board, the priority block first; by heredity it accepts
+    # what a first fit over the whole table does in any order restricting to it
     cands = zlq.search._Candidates(config.q, config.mode, config.priority_vertex)
     found = list(run_search(config).best.edges)
+    orders = []
+    board_first_fit = ScratchBoard.first_fit
+
+    def recorded(self, order, *args):
+        orders.append(list(order))
+        return board_first_fit(self, order, *args)
+
+    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
     rng = random.Random(config.seed)
     stream = derive_stream(config.seed, 1)
+    table = range(len(cands.edges))
     for size in (0, len(found) // 3, len(found) // 2, len(found) - 1, len(found)):
         kept = rng.sample(found, size)
-        order = cands.shuffled_order(stream)
         fast, fast_placed = ScratchBoard.over(config.q, kept)
-        slow, slow_placed = ScratchBoard.over(config.q, kept)
-        accepted = cands.first_fit(fast, fast_placed, order)
-        assert accepted == slow.first_fit(order, cands.coords, cands.nondeg, slow_placed)
-        assert fast_placed == slow_placed
-        assert (fast.col_masks, fast.row_masks) == (slow.col_masks, slow.row_masks)
+        survivors = [k for k in table if fast.insertion_ok(cands.coords[k], cands.nondeg[k], [])]
+        accepted = cands.first_fit(fast, fast_placed, stream)
+        (order,) = orders
+        orders.clear()
+        assert sorted(order) == survivors
+        in_front = [k < cands.priority_split for k in order]
+        assert in_front == sorted(in_front, reverse=True)
+        others = sorted(set(table) - set(survivors))
+        for whole in (others + order, order + others, _interleave(rng, order, others)):
+            slow, slow_placed = ScratchBoard.over(config.q, kept)
+            assert board_first_fit(slow, whole, cands.coords, cands.nondeg, slow_placed) == accepted
+            assert slow_placed == fast_placed
+            assert (slow.col_masks, slow.row_masks) == (fast.col_masks, fast.row_masks)
         if size == len(found):
             assert accepted == []  # a search result is maximal
+
+
+def _fill_results(monkeypatch, config):
+    """The family on the board after each fill of ``run_search(config)``."""
+    scratch = ScratchBoard(config.q)
+    edge_at = {}
+    for e in candidate_family(config.q, "full"):
+        r1, c1, r2, c2 = scratch.coords(e)
+        edge_at[frozenset({(r1, c1), (r2, c2)})] = e
+    results = []
+    first_fit = zlq.search._Candidates.first_fit
+
+    def recorded(self, board, placed, stream):
+        accepted = first_fit(self, board, placed, stream)
+        results.append([edge_at[frozenset({(r1, c1), (r2, c2)})] for r1, c1, r2, c2, _ in placed])
+        return accepted
+
+    monkeypatch.setattr(zlq.search._Candidates, "first_fit", recorded)
+    run_search(config)
+    return results
+
+
+@pytest.mark.parametrize(
+    "config, sample",
+    [
+        (SearchConfig(q=3, restarts=2), None),
+        (SearchConfig(q=4, restarts=1), None),
+        (SearchConfig(q=4, mode="nondeg", restarts=1), None),
+        (SearchConfig(q=4, restarts=1, warm_start=reference_family(4)), None),
+        (SearchConfig(q=4, restarts=1, priority_vertex=4, warm_start=embed(reference_family(3))),
+         None),
+        (SearchConfig(q=5, restarts=1), 24),
+        (SearchConfig(q=6, restarts=1, priority_vertex=6, warm_start=embed(reference_family(5))),
+         8),
+    ],
+    ids=["q3", "q4", "q4-nondeg", "q4-warm", "q4-lift", "q5-sampled", "q6-lift-sampled"],
+)
+def test_every_fill_result_is_maximal_under_verify(config, sample, monkeypatch):
+    # definition-level: no pool candidate extends a fill's result to a
+    # family the verifier accepts; the whole pool at q<=4, a sample above
+    pool = candidate_family(config.q, config.mode)
+    seeds = range(3) if sample is None else range(2)
+    for seed in seeds:
+        rng = random.Random(seed)
+        fills = _fill_results(monkeypatch, replace(config, seed=seed))
+        assert fills
+        for family in fills:
+            assert verify(Family.from_edges(config.q, family)).ok
+            present = set(family)
+            outside = [e for e in pool if e not in present]
+            if sample is not None:
+                outside = rng.sample(outside, sample)
+            for e in outside:
+                assert not verify(Family.from_edges(config.q, family + [e])).ok, (seed, e)
