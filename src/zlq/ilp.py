@@ -291,9 +291,9 @@ class SolutionImport:
 
 def import_solution(model: IlpModel, values: list[int]) -> SolutionImport:
     """Extract the selected family, re-check the rows, and cross-verify."""
+    violated = tuple(evaluate(model, values))  # first: it rejects a vector of the wrong length
     selected = [model.candidates[k] for k in range(model.num_x) if values[k]]
     family = Family.from_edges(model.q, selected)
-    violated = tuple(evaluate(model, values))
     verdict = verify(family)
     return SolutionImport(
         family=family,

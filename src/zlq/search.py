@@ -9,10 +9,11 @@ index), so runs are bit-stable.  Each fill keeps the candidates whose own
 rules hold on its starting board (one ``CandidateSlices.own_ok`` mask),
 shuffles only those and first-fits them.  Heredity makes the drop exact,
 and a uniform shuffle of the whole table restricts to a uniform shuffle of
-the survivors, so each fill's result keeps its distribution.  The static
-prune is the same mask on the empty board.  ``run_search`` keeps one
-running best and returns from one place: the winner is re-checked by the
-full verifier, and a failure raises ``RuntimeError``.
+the survivors, so each fill's result keeps its distribution.  It also
+makes a static prune needless: what fails the empty board fails every
+board.  ``run_search`` keeps one running best and returns from one place:
+the winner is re-checked by the full verifier, and a failure raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -108,26 +109,24 @@ class SearchResult:
 
 
 class _Candidates:
-    """Shared immutable candidate table for one search run."""
+    """The whole candidate family for one search run, a priority vertex's block first.
+
+    Unpruned: by heredity, no fill keeps a candidate that fails the empty board.
+    """
 
     __slots__ = ("edges", "coords", "nondeg", "slices", "priority_split")
 
     def __init__(self, q: int, mode: Mode, priority_vertex: int | None):
-        pool = candidate_family(q, mode)
-        if priority_vertex is not None:
-            # stable: candidates touching the vertex first, each block in pool order
-            pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
-        # the static prune: keep what fits the empty board, judged in one mask
-        empty = ScratchBoard(q)
-        pool_coords = [empty.coords(e) for e in pool]
-        kept = _set_bits(CandidateSlices(q, pool_coords).own_ok(empty))
-        self.edges = [pool[k] for k in kept]
-        self.coords = [pool_coords[k] for k in kept]
-        self.nondeg = [classify(e) == NONDEGENERATE for e in self.edges]
-        self.slices = CandidateSlices(q, self.coords)
+        self.edges = candidate_family(q, mode)
         self.priority_split = 0
         if priority_vertex is not None:
+            # stable: candidates touching the vertex first, each block in family order
+            self.edges.sort(key=lambda e: not touches_vertex(e, priority_vertex))
             self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
+        empty = ScratchBoard(q)
+        self.coords = [empty.coords(e) for e in self.edges]
+        self.nondeg = [classify(e) == NONDEGENERATE for e in self.edges]
+        self.slices = CandidateSlices(q, self.coords)
 
     def first_fit(
         self, board: ScratchBoard, placed: list[tuple[int, int, int, int, bool]], stream: SplitMix64

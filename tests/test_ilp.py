@@ -137,6 +137,15 @@ def test_all_zero_assignment_is_the_empty_family():
     assert imported.ilp_feasible and imported.verifier.ok
 
 
+@pytest.mark.parametrize("length", ["0", "num_x", "num_vars + 1"])
+def test_import_solution_rejects_a_vector_of_the_wrong_length(length):
+    # a short vector fails the same length check as a long one, before any selection
+    model = build_model(3)
+    size = {"0": 0, "num_x": model.num_x, "num_vars + 1": model.num_vars + 1}[length]
+    with pytest.raises(ValueError, match=f"^expected {model.num_vars} values, got {size}$"):
+        import_solution(model, [0] * size)
+
+
 def test_s_equation_violation_is_flagged():
     model = build_model(3, "full")
     values = family_to_assignment(model, reference_family(3))

@@ -2,7 +2,7 @@ import random
 import sys
 from array import array
 from dataclasses import replace
-from itertools import permutations
+from itertools import islice, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -331,22 +331,27 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
 
 @pytest.mark.parametrize("q", range(2, 8))
 def test_the_static_prune_mask_keeps_the_kernel_table(q):
-    # one own-rule mask on the empty board keeps what the kernel keeps, in order
+    # the table is the whole candidate family, priority block first, with no
+    # prune of its own; the first own-rule mask on the empty board keeps
+    # what the kernel's static prune keeps, in table order
+    lookup = ScratchBoard(q)
     for mode in ("full", "nondeg"):
         for priority_vertex in (None, 0, q):
-            pool = candidate_family(q, mode)
-            if priority_vertex is not None:
-                pool.sort(key=lambda e: not touches_vertex(e, priority_vertex))
-            edges, coords, nondeg = ScratchBoard(q).fitting(pool, [])
+            family = candidate_family(q, mode)
             cands = zlq.search._Candidates(q, mode, priority_vertex)
-            assert (cands.edges, cands.coords, cands.nondeg) == (edges, coords, nondeg)
-            split = cands.priority_split
-            if priority_vertex is None:
-                assert split == 0
-            else:
-                assert [touches_vertex(e, priority_vertex) for e in edges] == (
-                    [True] * split + [False] * (len(edges) - split)
-                )
+            touches = [
+                priority_vertex is not None and touches_vertex(e, priority_vertex) for e in family
+            ]
+            front = [e for e, t in zip(family, touches) if t]
+            assert cands.edges == front + [e for e, t in zip(family, touches) if not t]
+            assert cands.priority_split == len(front)
+            assert cands.coords == [lookup.coords(e) for e in cands.edges]
+            assert cands.nondeg == [classify(e) == NONDEGENERATE for e in cands.edges]
+            kept = zlq.search._set_bits(cands.slices.own_ok(lookup))
+            edges, coords, nondeg = lookup.fitting(cands.edges, [])
+            assert [cands.edges[k] for k in kept] == edges
+            assert [cands.coords[k] for k in kept] == coords
+            assert [cands.nondeg[k] for k in kept] == nondeg
 
 
 def test_width_two_improvement_runs():
@@ -412,10 +417,11 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
 
 
 def test_run_search_on_an_empty_candidate_table():
-    # every q=2 candidate breaks a rule on its own, so the static prune keeps none
+    # the table holds the three q=2 candidates, but each breaks a rule on
+    # its own, so no fill's own-rule mask keeps any of them
     cands = zlq.search._Candidates(2, "full", None)
-    assert cands.edges == []
-    assert cands.slices.own_ok(ScratchBoard(2)) == cands.slices.everything == 0
+    assert cands.edges == candidate_family(2, "full") and len(cands.edges) == 3
+    assert cands.slices.own_ok(ScratchBoard(2)) == 0
     result = run_search(SearchConfig(q=2, restarts=2))
     assert result.restart_sizes == (0, 0)
     assert result.best_size == 0
@@ -532,3 +538,46 @@ def test_every_fill_result_is_maximal_under_verify(config, sample, monkeypatch):
                 outside = rng.sample(outside, sample)
             for e in outside:
                 assert not verify(Family.from_edges(config.q, family + [e])).ok, (seed, e)
+
+
+@pytest.mark.parametrize(
+    "config, sample",
+    [
+        (SearchConfig(q=2, restarts=2), None),
+        (SearchConfig(q=3, restarts=2, delete_width=2), None),
+        (SearchConfig(q=4, restarts=1), None),
+        (SearchConfig(q=4, mode="nondeg", restarts=1), None),
+        (SearchConfig(q=4, restarts=1, warm_start=reference_family(4)), None),
+        (SearchConfig(q=4, restarts=1, priority_vertex=4, warm_start=embed(reference_family(3))),
+         None),
+        (SearchConfig(q=5, restarts=1, delete_width=2), 200),
+        (SearchConfig(q=6, restarts=1, priority_vertex=6, warm_start=embed(reference_family(5))),
+         200),
+        (SearchConfig(q=7, restarts=1), 200),
+    ],
+    ids=["q2", "q3", "q4", "q4-nondeg", "q4-warm", "q4-lift", "q5-sampled", "q6-lift-sampled",
+         "q7-sampled"],
+)
+def test_no_fill_order_holds_a_candidate_that_fails_alone(config, sample, monkeypatch):
+    # definition-level: the table keeps the candidates that break a rule on
+    # their own, so no order handed to the kernel may hold one; checked
+    # against the whole pool at q<=4 and a sample of them above
+    lookup = ScratchBoard(config.q)
+    edge_at = {lookup.coords(e): e for e in candidate_family(config.q, "full")}
+    handed = set()
+    board_first_fit = ScratchBoard.first_fit
+
+    def recorded(self, order, coords, *args):
+        handed.update(edge_at[coords[k]] for k in order)
+        return board_first_fit(self, order, coords, *args)
+
+    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
+    assert verify(run_search(config).best).ok
+    pool = candidate_family(config.q, config.mode)
+    if sample is not None:
+        random.Random(config.q).shuffle(pool)
+    failing = (e for e in pool if not verify(Family.from_edges(config.q, [e])).ok)
+    failing = list(islice(failing, sample))  # a sample of None takes them all
+    assert failing and handed.isdisjoint(failing)
+    if config.q >= 3:
+        assert handed  # the fills did hand the kernel candidates
