@@ -4,11 +4,10 @@ A verified family on the q-board remains admissible verbatim on the
 (q+1)-board: the new rows carry only their two 1-edge cells, and a row
 with fewer than three occupied cells can neither host a witness pattern
 nor complete an opposite-corner pair.  The extension step targets
-``floor(q/2)`` additional 2-edges; a warm-started greedy search that
-prioritizes candidates touching the new vertex usually finds them, and an
-exact sub-solve restricted to new-vertex candidates over the frozen base
-adjudicates when it does not.  Whether the target was met is always
-reported explicitly.
+``floor(q/2)`` additional 2-edges; the plain search, warm-started from
+the embedded family, usually finds them, and an exact sub-solve restricted
+to new-vertex candidates over the frozen base adjudicates when it does
+not.  Whether the target was met is always reported explicitly.
 """
 
 from __future__ import annotations
@@ -71,7 +70,9 @@ def lift_extend(
 ) -> LiftReport:
     """Embed, extend by warm-started search, and report target attainment.
 
-    When the search falls short of the target and ``oracle_on_shortfall``
+    The extension is ``run_search`` on the (q+1)-board with the embedded
+    family as its warm start and no other setting of its own.  When the
+    search falls short of the target and ``oracle_on_shortfall``
     is set, an exact branch-and-bound over the new-vertex candidates (base
     frozen) decides whether the restricted extension can reach it.  The
     returned family always passes the full verifier (the search and the
@@ -89,7 +90,6 @@ def lift_extend(
         restarts=restarts,
         delete_width=delete_width,
         warm_start=base,
-        priority_vertex=base.q,
     )
     result = run_search(config, progress=progress)
     best_family = result.best

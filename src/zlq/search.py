@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Callable
 
 from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
-    touches_vertex,
 )
 from .families import Family
 from .admissibility import CandidateSlices, ScratchBoard, verify
@@ -62,7 +60,6 @@ class SearchConfig:
     time_limit: float | None = None
     delete_width: int = 1
     warm_start: Family | None = None
-    priority_vertex: int | None = None
 
     def validate(self) -> None:
         check_q(self.q)
@@ -72,8 +69,6 @@ class SearchConfig:
         check_budget("time limit", self.time_limit)
         if self.delete_width not in (1, 2):
             raise ValueError("delete width must be 1 or 2")
-        if self.priority_vertex is not None and not 0 <= self.priority_vertex <= self.q:
-            raise ValueError(f"priority vertex must lie in 0..{self.q}")
         if self.warm_start is not None:
             if self.warm_start.q != self.q:
                 raise ValueError("warm start family lives on a different board")
@@ -109,20 +104,15 @@ class SearchResult:
 
 
 class _Candidates:
-    """The whole candidate family for one search run, a priority vertex's block first.
+    """The whole candidate family for one search run, in family order.
 
     Unpruned: by heredity, no fill keeps a candidate that fails the empty board.
     """
 
-    __slots__ = ("edges", "coords", "nondeg", "slices", "priority_split")
+    __slots__ = ("edges", "coords", "nondeg", "slices")
 
-    def __init__(self, q: int, mode: Mode, priority_vertex: int | None):
+    def __init__(self, q: int, mode: Mode):
         self.edges = candidate_family(q, mode)
-        self.priority_split = 0
-        if priority_vertex is not None:
-            # stable: candidates touching the vertex first, each block in family order
-            self.edges.sort(key=lambda e: not touches_vertex(e, priority_vertex))
-            self.priority_split = sum(touches_vertex(e, priority_vertex) for e in self.edges)
         empty = ScratchBoard(q)
         self.coords = [empty.coords(e) for e in self.edges]
         self.nondeg = [classify(e) == NONDEGENERATE for e in self.edges]
@@ -133,8 +123,7 @@ class _Candidates:
     ) -> list[int]:
         """One fill: ``board.first_fit`` over a shuffle of the candidates whose own rules hold.
 
-        The survivors of ``board`` keep the priority block in front; each
-        block is shuffled with ``stream`` (an empty one draws nothing).  By
+        The survivors of ``board`` are shuffled once with ``stream``.  By
         heredity this accepts what a first fit over the whole table would
         in any order that restricts to this one: the board only gains
         cells during the pass, so a candidate whose own rules fail on the
@@ -142,12 +131,8 @@ class _Candidates:
         the whole table restricts to a uniform shuffle of the survivors.
         """
         survivors = _set_bits(self.slices.own_ok(board))
-        split = bisect_left(survivors, self.priority_split)
-        first, rest = survivors[:split], survivors[split:]
-        if first:
-            stream.shuffle(first)
-        stream.shuffle(rest)
-        return board.first_fit(first + rest, self.coords, self.nondeg, placed)
+        stream.shuffle(survivors)
+        return board.first_fit(survivors, self.coords, self.nondeg, placed)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -232,7 +217,7 @@ def run_search(config: SearchConfig, progress: Progress | None = None) -> Search
     best_restart = -1
     restart_sizes: list[int] = []
     if config.restarts and not _expired(deadline):  # a spent budget builds no table
-        cands = _Candidates(config.q, config.mode, config.priority_vertex)
+        cands = _Candidates(config.q, config.mode)
     for r in range(config.restarts):
         if _expired(deadline):
             break

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zlq
 from zlq.cli import main
 from zlq.families import parse_family, serialize_family
 from zlq.fixtures import reference_family
@@ -418,3 +423,24 @@ def test_repro_skipping_q4(capsys):
     assert all(entry.get("ok", True) for entry in lines[:-1])
     names = {entry["check"] for entry in lines[:-1]}
     assert {f"family-q{q}" for q in (3, 4, 5, 6, 7)} <= names
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["families", "--q", "3"], 0), (["stats", "--q", "1"], 2)],
+    ids=["families", "bad-q"],
+)
+def test_python_dash_m_runs_the_cli(argv, code):
+    # ``python -m zlq`` from a checkout that is not installed
+    env = dict(os.environ, PYTHONPATH=str(Path(zlq.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "zlq", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout) == [
+            {"nondegenerate": True, "q": 3, "size": 2, "verified": True}
+        ]
+    else:
+        assert done.stdout == ""
+        assert json.loads(done.stderr)["error"] == "usage"

@@ -4,7 +4,7 @@ import zlq.admissibility
 import zlq.exact
 import zlq.lifting
 import zlq.search
-from zlq import Family, embed, lift_extend, verify
+from zlq import Family, SearchConfig, embed, lift_extend, run_search, verify
 from zlq.board import candidate_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.lifting import new_vertex_candidates
@@ -72,8 +72,8 @@ def test_lift_q4_target_and_bound():
 def test_lift_q5_target_and_bound():
     # the search path itself is pinned: achieved size and family hash per seed
     pins = {
-        0: (21, "2a325606830481b2e900bfa7404125ece194c0563e70dd8dca02883bde34c63d"),
-        1: (21, "4b020b36b1578b2c26b25526fd28d2578520fe43dfe851e600084e0fc33889ae"),
+        0: (22, "26bae4c9a4848d676d648a154777ac5749238e7a2c801800a894c50aa6319005"),
+        1: (22, "8bd90d5caca4c4145ed59c6179d68d11dc1b4d598a42642b4ebb6252757b56c7"),
     }
     for seed, (achieved, digest) in pins.items():
         report = lift_extend(reference_family(5), seed=seed, restarts=2, delete_width=1)
@@ -103,13 +103,23 @@ def test_lift_extend_does_not_reverify_the_search_result(monkeypatch):
 
 
 def test_lift_q4_default_width_path_is_pinned():
-    # the default delete width 2 on a warm start with a priority vertex
+    # the default delete width 2 on a warm start
     report = lift_extend(reference_family(4), seed=0, restarts=2)
     assert report.target == 8
     assert report.achieved == 12
     assert family_sha256(report.family) == (
-        "92a3b4bf5039d942359bafc9b382326b98806a0e58a3283890cf4b8367f6e941"
+        "4ebbe1a2b052c6a1547f29a891f57febf396f0f0670b06ece4abf8af7818b8f5"
     )
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_lift_is_the_plain_warm_started_search(q, seed):
+    # no setting of the lift's own: it is run_search from the embedded family
+    family = reference_family(q)
+    report = lift_extend(family, seed=seed, restarts=2, delete_width=1)
+    config = SearchConfig(q=q + 1, seed=seed, restarts=2, delete_width=1, warm_start=embed(family))
+    assert report.family == run_search(config).best
 
 
 def test_lift_oracle_adjudicates_a_forced_shortfall():

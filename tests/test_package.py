@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import zlq
@@ -21,6 +22,7 @@ def test_retired_solver_and_family_names_are_gone():
     assert not hasattr(zlq, "upper_bound") and not hasattr(zlq.exact, "upper_bound")
     assert "upper_bound" not in zlq.__all__
     assert not hasattr(zlq.ScratchBoard(3), "free_cells")
+    assert "priority_vertex" not in {f.name for f in dataclasses.fields(zlq.SearchConfig)}
 
 
 def test_conflict_kernel_is_not_exported():

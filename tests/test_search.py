@@ -17,7 +17,7 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import ScratchBoard
-from zlq.board import NONDEGENERATE, candidate_family, touches_vertex
+from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
 from zlq.rng import SplitMix64, derive_stream, mix64
@@ -307,21 +307,15 @@ def test_config_validation():
             SearchConfig(q=4, time_limit=bad).validate()
     SearchConfig(q=4, time_limit=0).validate()
     SearchConfig(q=4, time_limit=float("inf")).validate()
-    # a vertex that no candidate touches would silently run a plain search
-    for bad in (-1, 4, 9):
-        with pytest.raises(ValueError, match=r"priority vertex must lie in 0\.\.3"):
-            SearchConfig(q=3, priority_vertex=bad).validate()
-    SearchConfig(q=3, priority_vertex=0).validate()
-    SearchConfig(q=3, priority_vertex=3).validate()
 
 
-@pytest.mark.parametrize("q, priority_vertex", [(4, None), (5, None), (6, None), (6, 6)])
-def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
+@pytest.mark.parametrize("q, start", [(4, None), (5, None), (6, None), (6, "lift")])
+def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
     # hereditarity: a candidate rejected against part of the family stays
     # rejected, so a second fill on the first one's board adds nothing and
     # a restart needs no repair fill after its first fit
-    base = [] if priority_vertex is None else list(embed(reference_family(q - 1)).edges)
-    cands = zlq.search._Candidates(q, "full", priority_vertex)
+    base = [] if start is None else list(embed(reference_family(q - 1)).edges)
+    cands = zlq.search._Candidates(q, "full")
     for seed in range(3):
         stream = derive_stream(seed, 0)
         board, placed = ScratchBoard.over(q, base)
@@ -331,27 +325,20 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, priority_vertex):
 
 @pytest.mark.parametrize("q", range(2, 8))
 def test_the_static_prune_mask_keeps_the_kernel_table(q):
-    # the table is the whole candidate family, priority block first, with no
+    # the table is the whole candidate family in family order, with no
     # prune of its own; the first own-rule mask on the empty board keeps
     # what the kernel's static prune keeps, in table order
     lookup = ScratchBoard(q)
     for mode in ("full", "nondeg"):
-        for priority_vertex in (None, 0, q):
-            family = candidate_family(q, mode)
-            cands = zlq.search._Candidates(q, mode, priority_vertex)
-            touches = [
-                priority_vertex is not None and touches_vertex(e, priority_vertex) for e in family
-            ]
-            front = [e for e, t in zip(family, touches) if t]
-            assert cands.edges == front + [e for e, t in zip(family, touches) if not t]
-            assert cands.priority_split == len(front)
-            assert cands.coords == [lookup.coords(e) for e in cands.edges]
-            assert cands.nondeg == [classify(e) == NONDEGENERATE for e in cands.edges]
-            kept = zlq.search._set_bits(cands.slices.own_ok(lookup))
-            edges, coords, nondeg = lookup.fitting(cands.edges, [])
-            assert [cands.edges[k] for k in kept] == edges
-            assert [cands.coords[k] for k in kept] == coords
-            assert [cands.nondeg[k] for k in kept] == nondeg
+        cands = zlq.search._Candidates(q, mode)
+        assert cands.edges == candidate_family(q, mode)
+        assert cands.coords == [lookup.coords(e) for e in cands.edges]
+        assert cands.nondeg == [classify(e) == NONDEGENERATE for e in cands.edges]
+        kept = zlq.search._set_bits(cands.slices.own_ok(lookup))
+        edges, coords, nondeg = lookup.fitting(cands.edges, [])
+        assert [cands.edges[k] for k in kept] == edges
+        assert [cands.coords[k] for k in kept] == coords
+        assert [cands.nondeg[k] for k in kept] == nondeg
 
 
 def test_width_two_improvement_runs():
@@ -419,7 +406,7 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
 def test_run_search_on_an_empty_candidate_table():
     # the table holds the three q=2 candidates, but each breaks a rule on
     # its own, so no fill's own-rule mask keeps any of them
-    cands = zlq.search._Candidates(2, "full", None)
+    cands = zlq.search._Candidates(2, "full")
     assert cands.edges == candidate_family(2, "full") and len(cands.edges) == 3
     assert cands.slices.own_ok(ScratchBoard(2)) == 0
     result = run_search(SearchConfig(q=2, restarts=2))
@@ -443,17 +430,16 @@ def _interleave(rng, first, second):
         SearchConfig(q=4, seed=2, restarts=1),
         SearchConfig(q=5, mode="nondeg", seed=3, restarts=1),
         SearchConfig(q=5, seed=4, restarts=1, warm_start=reference_family(5)),
-        SearchConfig(q=6, seed=5, restarts=1, priority_vertex=6,
-                     warm_start=embed(reference_family(5))),
-        SearchConfig(q=7, seed=6, restarts=1, priority_vertex=0),
+        SearchConfig(q=6, seed=5, restarts=1, warm_start=embed(reference_family(5))),
+        SearchConfig(q=7, seed=6, restarts=1),
     ],
-    ids=["q4", "q5-nondeg", "q5-warm", "q6-lift", "q7-priority"],
+    ids=["q4", "q5-nondeg", "q5-warm", "q6-lift", "q7"],
 )
 def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatch):
     # a fill first-fits a shuffle of the candidates whose own rules hold on
-    # its starting board, the priority block first; by heredity it accepts
-    # what a first fit over the whole table does in any order restricting to it
-    cands = zlq.search._Candidates(config.q, config.mode, config.priority_vertex)
+    # its starting board; by heredity it accepts what a first fit over the
+    # whole table does in any order restricting to it
+    cands = zlq.search._Candidates(config.q, config.mode)
     found = list(run_search(config).best.edges)
     orders = []
     board_first_fit = ScratchBoard.first_fit
@@ -474,8 +460,6 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
         (order,) = orders
         orders.clear()
         assert sorted(order) == survivors
-        in_front = [k < cands.priority_split for k in order]
-        assert in_front == sorted(in_front, reverse=True)
         others = sorted(set(table) - set(survivors))
         for whole in (others + order, order + others, _interleave(rng, order, others)):
             slow, slow_placed = ScratchBoard.over(config.q, kept)
@@ -513,11 +497,9 @@ def _fill_results(monkeypatch, config):
         (SearchConfig(q=4, restarts=1), None),
         (SearchConfig(q=4, mode="nondeg", restarts=1), None),
         (SearchConfig(q=4, restarts=1, warm_start=reference_family(4)), None),
-        (SearchConfig(q=4, restarts=1, priority_vertex=4, warm_start=embed(reference_family(3))),
-         None),
+        (SearchConfig(q=4, restarts=1, warm_start=embed(reference_family(3))), None),
         (SearchConfig(q=5, restarts=1), 24),
-        (SearchConfig(q=6, restarts=1, priority_vertex=6, warm_start=embed(reference_family(5))),
-         8),
+        (SearchConfig(q=6, restarts=1, warm_start=embed(reference_family(5))), 8),
     ],
     ids=["q3", "q4", "q4-nondeg", "q4-warm", "q4-lift", "q5-sampled", "q6-lift-sampled"],
 )
@@ -548,11 +530,9 @@ def test_every_fill_result_is_maximal_under_verify(config, sample, monkeypatch):
         (SearchConfig(q=4, restarts=1), None),
         (SearchConfig(q=4, mode="nondeg", restarts=1), None),
         (SearchConfig(q=4, restarts=1, warm_start=reference_family(4)), None),
-        (SearchConfig(q=4, restarts=1, priority_vertex=4, warm_start=embed(reference_family(3))),
-         None),
+        (SearchConfig(q=4, restarts=1, warm_start=embed(reference_family(3))), None),
         (SearchConfig(q=5, restarts=1, delete_width=2), 200),
-        (SearchConfig(q=6, restarts=1, priority_vertex=6, warm_start=embed(reference_family(5))),
-         200),
+        (SearchConfig(q=6, restarts=1, warm_start=embed(reference_family(5))), 200),
         (SearchConfig(q=7, restarts=1), 200),
     ],
     ids=["q2", "q3", "q4", "q4-nondeg", "q4-warm", "q4-lift", "q5-sampled", "q6-lift-sampled",
