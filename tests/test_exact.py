@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -17,7 +19,7 @@ from zlq.exact import (
 from zlq.fixtures import reference_family
 from zlq.lifting import embed, new_vertex_candidates
 
-from conftest import family_sha256
+from conftest import family_sha256, random_subfamily
 
 
 def test_q2_matches_exhaustive_enumeration():
@@ -368,3 +370,30 @@ def test_q4_optimum_without_symmetry_agrees():
     assert plain.z_value == with_symmetry.z_value == 26
     kinds = {e["event"] for e in plain.events}
     assert {"bound", "node", "done"} <= kinds
+
+
+def _battery():
+    """Budgeted solves over both modes, symmetry, and random bases at q=4."""
+    for q, mode, symmetry in itertools.product((2, 3), ("full", "nondeg"), (False, True)):
+        for node_limit in (None, 0, 1, 7, 100, 3_000):
+            yield solve_exact(q, mode, symmetry=symmetry, node_limit=node_limit)
+    for node_limit in (0, 1, 7, 100, 3_000):
+        yield solve_exact(4, symmetry=True, node_limit=node_limit)
+    cands = candidate_family(4, "full")
+    for seed in range(20):
+        rng = random.Random(seed)
+        base = random_subfamily(rng, reference_family(4))
+        pool = rng.sample(cands, 120)
+        for node_limit in (0, 5, 500):
+            yield solve_extension(base, pool, node_limit=node_limit)
+
+
+def test_the_tree_is_pinned_on_a_battery():
+    # one digest over every path: budgets cut the tree at many depths, and
+    # the extensions start from bases of 0 to 6 edges
+    digest = hashlib.sha256()
+    for result in _battery():
+        record = (result.status, result.size, result.nodes,
+                  family_sha256(result.certificate), list(result.events))
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == "6a66418a57c8b5ff5433e07114a5e5f10d6ba8458521860f136e484359e3806c"
