@@ -26,10 +26,11 @@ One function, ``_solve``, is the whole branch and bound, and it serves
 both entry points: ``solve_exact`` runs it over an empty base,
 ``solve_extension`` over a frozen, verified base family.  The candidate
 table is laid out once, on the search's board, and kept in the static
-order.  A first-fit pass over that order, on a second board, seeds the
-incumbent, and only a strictly larger family replaces it, so the
-certificate is the first maximum family the enumeration meets and the
-same call always returns it.
+order.  The tree is one loop over an explicit stack of (chosen candidate,
+untried candidates) pairs.  A first-fit pass over the static order, on a
+second board, seeds the incumbent, and only a strictly larger family
+replaces it, so the certificate is the first maximum family the
+enumeration meets and the same call always returns it.
 """
 
 from __future__ import annotations
@@ -153,10 +154,6 @@ def pairwise_conflicts(
     return masks
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _solve(
     base: Family,
     candidates: list[TwoEdge],
@@ -170,9 +167,12 @@ def _solve(
 
     The one branch-and-bound core behind both public solvers.  The search's
     board also serves the conflict pass; the incumbent seed gets a second.
-    A node with ``size`` chosen candidates and ``remaining`` compatible
-    later ones is pruned when ``min(size + remaining, cap)`` cannot beat the
-    incumbent; ``cap`` is the free-cell cap, fixed for the whole solve.
+    The tree is one loop.  ``remaining`` holds the current level's untried
+    candidates; with ``size`` chosen, the level is cut when ``min(size +
+    |remaining|, cap)`` cannot beat the incumbent, ``cap`` being the
+    free-cell cap, fixed for the whole solve.  A candidate that fits is
+    pushed with ``remaining`` and the loop descends to what is compatible
+    with it; an empty or cut level pops back to its parent.
     Symmetry is sound only when the base is empty and the candidate list is
     closed under vertex relabeling.  Budgets count from ``start`` and must be
     non-negative; the reported node count never exceeds the node budget.
@@ -221,49 +221,46 @@ def _solve(
         {"event": "bound", "where": "root", "value": min(len(edges), cap), "incumbent": len(best)}
     ]
     nodes = 0
-    chosen: list[int] = []
+    size = 0  # len(stack)
+    cutoff = len(best)
     placed = list(base_placed)
-
-    def rec(remaining: int) -> None:
-        nonlocal best, nodes
-        size = len(chosen)
-        cutoff = len(best)
-        while remaining:
-            if min(size + remaining.bit_count(), cap) <= cutoff:
-                return
-            i = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            if size == 0 and not (level0_mask >> i) & 1:
-                continue
-            nodes += 1
-            if nodes % 65536 == 0:
-                events.append({"event": "node", "nodes": nodes, "best": len(best)})
-            if node_limit is not None and nodes >= node_limit:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                raise _BudgetExhausted
-            ci = coords[i]
-            if scratch.insertion_ok(ci, nondeg[i], placed):
-                scratch.place(*ci)
-                placed.append((*ci, nondeg[i]))
-                chosen.append(i)
-                if size + 1 > cutoff:
-                    best = tuple(chosen)
-                    events.append({"event": "incumbent", "size": size + 1, "nodes": nodes})
-                rec(remaining & ~conflicts[i])
-                chosen.pop()
-                placed.pop()
-                scratch.unplace(*ci)
-                cutoff = len(best)
-
+    stack: list[tuple[int, int]] = []  # per chosen candidate: it and its level's untried mask
+    remaining = every
     status = OPTIMAL
-    try:
-        rec(every)
-    except _BudgetExhausted:
-        status = INCUMBENT
-        if node_limit is not None:
-            nodes = min(nodes, node_limit)  # a zero budget raises on a first node it never visits
-    del rec  # rec holds itself through its closure cell; the cycle would pin the masks
+    while True:
+        if not remaining or min(size + remaining.bit_count(), cap) <= cutoff:
+            if not stack:
+                break
+            i, remaining = stack.pop()  # backtrack: unplace this level's choice
+            placed.pop()
+            scratch.unplace(*coords[i])
+            size -= 1
+            continue
+        i = (remaining & -remaining).bit_length() - 1
+        remaining &= remaining - 1
+        if size == 0 and not (level0_mask >> i) & 1:
+            continue
+        nodes += 1
+        if nodes % 65536 == 0:
+            events.append({"event": "node", "nodes": nodes, "best": cutoff})
+        if node_limit is not None and nodes >= node_limit:
+            status = INCUMBENT
+            nodes = min(nodes, node_limit)  # a zero budget stops on a first node it never visits
+            break
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            status = INCUMBENT
+            break
+        ci = coords[i]
+        if scratch.insertion_ok(ci, nondeg[i], placed):
+            scratch.place(*ci)
+            placed.append((*ci, nondeg[i]))
+            stack.append((i, remaining))  # descend
+            remaining &= ~conflicts[i]
+            size += 1
+            if size > cutoff:
+                best = tuple(k for k, _ in stack)
+                cutoff = size
+                events.append({"event": "incumbent", "size": size, "nodes": nodes})
 
     certificate = Family.from_edges(q, list(base.edges) + [edges[k] for k in best])
     if not verify(certificate).ok:  # pragma: no cover - internal invariant

@@ -12,8 +12,7 @@ not.  Whether the target was met is always reported explicitly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .board import TwoEdge, candidate_family, check_budget, touches_vertex
 from .families import Family
@@ -33,11 +32,6 @@ class LiftReport:
     bound: int  # to_q * (to_q + 1) + achieved
     oracle: str | None  # None, "optimal" or "incumbent" when the sub-solve ran
     family: Family
-
-    def summary_json(self) -> str:
-        """Every field but the family, as compact sorted JSON."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def embed(family: Family) -> Family:

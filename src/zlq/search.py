@@ -18,7 +18,6 @@ the winner is re-checked by the full verifier, and a failure raises
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -89,18 +88,6 @@ class SearchResult:
     restart_sizes: tuple[int, ...]
     best_restart: int  # -1 when no restart ran
     verified: bool
-
-    def summary_json(self) -> str:
-        payload = {
-            "q": self.config.q,
-            "mode": self.config.mode,
-            "seed": self.config.seed,
-            "restarts": self.config.restarts,
-            "best_size": self.best_size,
-            "bound": self.bound,
-            "verified": self.verified,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class _Candidates:
@@ -186,7 +173,7 @@ def _one_restart(
                 return tuple(family)
             if attempt([e]):
                 improved = True
-        if config.delete_width == 2 and len(family) >= 2:
+        if config.delete_width == 2:
             pairs = list(combinations(family, 2))
             stream.shuffle(pairs)
             for e1, e2 in pairs[:_WIDTH2_SAMPLES]:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import zlq.admissibility
@@ -6,6 +8,8 @@ import zlq.lifting
 import zlq.search
 from zlq import Family, SearchConfig, embed, lift_extend, run_search, verify
 from zlq.board import candidate_family
+from zlq.cli import main
+from zlq.families import serialize_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.lifting import new_vertex_candidates
 
@@ -143,11 +147,13 @@ def test_lift_without_oracle_reports_shortfall_honestly():
     assert report.bound == 20 + 2
 
 
-def test_lift_report_json_shape():
-    report = lift_extend(reference_family(3), seed=0, restarts=2, delete_width=1)
-    import json
-
-    payload = json.loads(report.summary_json())
+def test_lift_report_json_shape(tmp_path, capsys):
+    # the CLI prints every report field but the family
+    path = tmp_path / "q3.zlq"
+    path.write_text(serialize_family(reference_family(3)), encoding="utf-8")
+    argv = ["lift", "--input", str(path), "--restarts", "2", "--delete-width", "1", "--quiet"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {
         "from_q",
         "to_q",
@@ -158,3 +164,5 @@ def test_lift_report_json_shape():
         "bound",
         "oracle",
     }
+    report = lift_extend(reference_family(3), seed=0, restarts=2, delete_width=1)
+    assert payload == {name: getattr(report, name) for name in payload}

@@ -23,6 +23,9 @@ def test_retired_solver_and_family_names_are_gone():
     assert "upper_bound" not in zlq.__all__
     assert not hasattr(zlq.ScratchBoard(3), "free_cells")
     assert "priority_vertex" not in {f.name for f in dataclasses.fields(zlq.SearchConfig)}
+    # the CLI writes the stdout JSON of search and lift itself
+    assert not hasattr(zlq.SearchResult, "summary_json")
+    assert not hasattr(zlq.LiftReport, "summary_json")
 
 
 def test_conflict_kernel_is_not_exported():

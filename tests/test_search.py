@@ -224,7 +224,6 @@ def test_run_search_is_bit_stable():
     first = run_search(config)
     second = run_search(config)
     assert first == second
-    assert first.summary_json() == second.summary_json()
 
 
 def test_run_search_reports_each_restart_as_it_ends(monkeypatch):
