@@ -4,7 +4,8 @@ import random
 import pytest
 
 from zlq import Family, build_model, counting_summary, export_lp, verify, witness_set
-from zlq.board import candidate_family, classify, make_edge
+from zlq.admissibility import ScratchBoard, cell_claims, corner_cells, pattern_cells
+from zlq.board import NONDEGENERATE, available_cells, candidate_family, classify, make_edge
 from zlq.fixtures import reference_family
 from zlq.ilp import (
     SolutionFormatError,
@@ -52,11 +53,105 @@ def test_witness_set_is_shared_with_admissibility():
         (3, "nondeg", True, "33ff8e73f39432d8e929323380d373245c5071177984d50aee6be6ad21a5a9e1"),
         (4, "full", False, "e47bd2ec475a5111dd52f55c90bbf8e6401bd4e1411ce219037990877e3de732"),
         (4, "full", True, "f251cb0ccee4b45ab54551222b26eea36db8ece5eed89bd3aeacdb76324559b5"),
+        (4, "nondeg", False, "78324365cfdcb935c18056ca4da9fb7136d11e5661e9070b9c1c213ac731d163"),
+        (4, "nondeg", True, "1103e4c0cde7eb13676fdb6bc50261a2140e58579fba32bd4121586d2daffe35"),
+        (5, "full", True, "b6b37e31abecb109ebc9f081737dc2b4aad26b7fcd9570a17db7492030d5cac2"),
+        (5, "nondeg", True, "42d2380b80c0ccf1ade9102f4fcb3050e50bdc1907d40c1e601d056fbab38748"),
     ],
 )
 def test_export_lp_pinned_bytes(q, mode, prune, digest):
     text = export_lp(build_model(q, mode, prune_static=prune))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _naive_rows(q, mode, prune):
+    """(name, terms, sense, rhs, tag) per row, and the fixed-zero indices.
+
+    One dict and one ``sorted`` per row, straight from the rule functions:
+    the definition-level oracle of ``build_model``.
+    """
+    cells = available_cells(q)
+    cands = candidate_family(q, mode)
+    num_x = len(cands)
+    var_of = {cell: num_x + idx for idx, cell in enumerate(cells)}
+    claims = cell_claims(cands)
+    out, fixed = [], set()
+    for idx, cell in enumerate(cells):
+        terms = ((1, num_x + idx),) + tuple((-1, k) for k in claims.get(cell, ()))
+        out.append((f"s_{idx}", terms, "=", 0, "S"))
+    rule_rows = [
+        (k, f"c2_{k}", "C2", corner_cells(e))
+        for k, e in enumerate(cands)
+        if classify(e) == NONDEGENERATE
+    ]
+    rule_rows += [
+        (k, f"c3_{k}_{w}", "C3", pattern_cells(e, witness))
+        for k, e in enumerate(cands)
+        for w, witness in enumerate(witness_set(e, q))
+    ]
+    for k, name, tag, rule_cells in rule_rows:
+        mult = {}
+        for cell in rule_cells:
+            if cell in var_of:
+                mult[var_of[cell]] = mult.get(var_of[cell], 0) + 1
+        rhs = sum(mult.values())
+        if rhs == 0 and prune:
+            fixed.add(k)
+            continue
+        terms = ((1, k),) + tuple((mult[v], v) for v in sorted(mult))
+        out.append((name, terms, "<=", rhs, tag))
+    return out, tuple(sorted(fixed))
+
+
+def _naive_violations(rows, fixed, values):
+    violated = []
+    for name, terms, sense, rhs, _ in rows:
+        total = sum(coef * values[var] for coef, var in terms)
+        if (total != rhs) if sense == "=" else (total > rhs):
+            violated.append(name)
+    return violated + [f"fixed_x_{k}" for k in fixed if values[k]]
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_build_model_rows_match_the_naive_builder(q, mode, prune):
+    model = build_model(q, mode, prune_static=prune)
+    rows, fixed = _naive_rows(q, mode, prune)
+    got = [(r.name, r.terms, r.sense, r.rhs, r.tag) for r in model.rows]
+    assert len(got) == len(rows)
+    for mine, theirs in zip(got, rows):
+        assert mine == theirs
+    assert model.fixed_zero == fixed
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_fixed_zero_is_the_static_prune(q, mode):
+    # the ILP's collapsed rows drop exactly what the kernel drops on an empty board
+    cands = candidate_family(q, mode)
+    kept = set(ScratchBoard(q).fitting(cands, [])[0])
+    dropped = tuple(k for k, e in enumerate(cands) if e not in kept)
+    assert build_model(q, mode, prune_static=True).fixed_zero == dropped
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_evaluate_matches_a_naive_recomputation_on_random_vectors(q, mode, prune):
+    # independent 0/1 draws per variable: no family induces these vectors
+    model = build_model(q, mode, prune_static=prune)
+    rows, fixed = _naive_rows(q, mode, prune)
+    rng = random.Random(1000 * q + 10 * prune + (mode == "full"))
+    some_violated = some_clean = False
+    for density in (0.0, 0.01, 0.05, 0.3, 0.9):
+        for _ in range(3):
+            values = [int(rng.random() < density) for _ in range(model.num_vars)]
+            violated = evaluate(model, values)
+            assert violated == _naive_violations(rows, fixed, values)
+            some_violated |= bool(violated)
+            some_clean |= len(violated) < len(model.rows)
+    assert some_violated and some_clean
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
