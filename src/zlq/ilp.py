@@ -11,23 +11,26 @@ cell.  Rows:
 The cells of every row come from the rule definitions in
 ``admissibility`` (``cell_claims`` for the s-rows; ``corner_cells``,
 ``witness_set`` and ``pattern_cells`` for c2 and c3), which the verifier
-uses as well.  Occupancy of a 1-edge cell is the
-constant 1 and is moved to the right-hand side at build time; coincident
-pattern cells of degenerate candidates keep their multiplicity
-(coefficient 2), so every c3 row carries exactly five occupancy terms
-counted with multiplicity.  A row whose right-hand side collapses to
-``x_k <= 0`` marks a candidate that can never be selected; with static
-pruning enabled such candidates are fixed to zero instead of emitting the
-row.  The objective maximizes the sum of the x variables.
+uses as well.  Occupancy of a 1-edge cell is the constant 1 and is moved
+to the right-hand side at build time; coincident pattern cells of
+degenerate candidates keep their multiplicity (coefficient 2), so every
+c3 row carries exactly five occupancy terms counted with multiplicity.
+Each coefficient-1 term is the one shared ``(1, var)`` tuple of its variable.
+A row whose right-hand side collapses to ``x_k <= 0`` marks a candidate
+that can never be selected; with static pruning enabled such candidates
+are fixed to zero instead of emitting the row.  The objective maximizes
+the sum of the x variables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 from .board import (
-    Cell,
     Mode,
     NONDEGENERATE,
     TwoEdge,
@@ -47,13 +50,14 @@ from .admissibility import (
     witness_set,  # re-exported: part of this module's public surface
 )
 
+_PER_LINE = 8  # LP terms per line
+
 
 class SolutionFormatError(ValueError):
     """Malformed or incomplete solution file."""
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(NamedTuple):
     name: str
     terms: tuple[tuple[int, int], ...]  # (coefficient, variable index)
     sense: str  # "=" or "<="
@@ -95,53 +99,40 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
     check_mode(mode)
     cells = available_cells(q)
     cands = candidate_family(q, mode)
-    cell_index = {cell: idx for idx, cell in enumerate(cells)}
     num_x = len(cands)
-
     var_names = [f"x_{k}" for k in range(num_x)]
     var_names += [f"o_{i}_{j}_{c}" for (i, j, c) in cells]
-
-    claims = cell_claims(cands)
-    model_rows: list[LinearRow] = []
+    unit = [(1, v) for v in range(len(var_names))]
+    # a 1-edge cell has no o-variable (its occupancy 1 moves to the rhs)
+    term_of = dict(zip(cells, unit[num_x:])).get
+    new_row = partial(tuple.__new__, LinearRow)  # skips the Python-level __new__
+    rows: list[LinearRow] = []
     fixed_zero: set[int] = set()
 
+    claims = cell_claims(cands)
     for idx, cell in enumerate(cells):
-        terms = [(1, num_x + idx)] + [(-1, k) for k in claims.get(cell, ())]
-        model_rows.append(
-            LinearRow(name=f"s_{idx}", terms=tuple(terms), sense="=", rhs=0, tag="S")
-        )
+        terms = (unit[num_x + idx], *[(-1, k) for k in claims.get(cell, ())])
+        rows.append(new_row((f"s_{idx}", terms, "=", 0, "S")))
 
-    def add_rule_row(k: int, name: str, tag: str, rule_cells: tuple[Cell, ...]) -> None:
-        """x_k + occupancy of the rule's cells <= their count.
-
-        A cell without an o-variable is a 1-edge cell, whose occupancy is
-        the constant 1 and moves to the right-hand side.
-        """
-        const = 0
-        mult: dict[int, int] = {}
-        for cell in rule_cells:
-            idx = cell_index.get(cell)
-            if idx is None:
-                const += 1
-            else:
-                var = num_x + idx
-                mult[var] = mult.get(var, 0) + 1
-        rhs = len(rule_cells) - const
-        if rhs == 0 and prune_static:
+    nondeg = [classify(edge) == NONDEGENERATE for edge in cands]
+    c2 = ((k, f"c2_{k}", "C2", corner_cells(e)) for k, e in enumerate(cands) if nondeg[k])
+    c3 = (
+        (k, f"c3_{k}_{w}", "C3", pattern_cells(e, witness))
+        for k, e in enumerate(cands)
+        for w, witness in enumerate(witness_set(e, q))
+    )
+    # each rule row: x_k + occupancy of the rule's cells <= their count
+    for k, name, tag, rule_cells in chain(c2, c3):
+        occupied = sorted(filter(None, map(term_of, rule_cells)))
+        if not occupied and prune_static:
             # every cell is a 1-edge cell: x_k can never be 1
             fixed_zero.add(k)
-            return
-        terms = [(1, k)] + [(mult[v], v) for v in sorted(mult)]
-        model_rows.append(
-            LinearRow(name=name, terms=tuple(terms), sense="<=", rhs=rhs, tag=tag)
-        )
-
-    for k, edge in enumerate(cands):
-        if classify(edge) == NONDEGENERATE:
-            add_rule_row(k, f"c2_{k}", "C2", corner_cells(edge))
-    for k, edge in enumerate(cands):
-        for w_idx, witness in enumerate(witness_set(edge, q)):
-            add_rule_row(k, f"c3_{k}_{w_idx}", "C3", pattern_cells(edge, witness))
+            continue
+        rhs = len(occupied)
+        if not nondeg[k]:  # an edge sharing a row or a column can repeat a pattern cell
+            distinct = dict.fromkeys(occupied)
+            occupied = [t if (m := occupied.count(t)) == 1 else (m, t[1]) for t in distinct]
+        rows.append(new_row((name, (unit[k], *occupied), "<=", rhs, tag)))
 
     return IlpModel(
         q=q,
@@ -150,56 +141,65 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
         candidates=tuple(cands),
         cells=tuple(cells),
         var_names=tuple(var_names),
-        rows=tuple(model_rows),
+        rows=tuple(rows),
         fixed_zero=tuple(sorted(fixed_zero)),
     )
 
 
-def _wrap_terms(parts: list[str], per_line: int = 8) -> list[str]:
-    return [" " + " ".join(parts[i : i + per_line]) for i in range(0, len(parts), per_line)]
+class _PerTerm(dict):
+    """A function of a ``(coefficient, variable)`` term, computed once per distinct term."""
+
+    def __init__(self, of):
+        self.of = of
+
+    def __missing__(self, term):
+        value = self[term] = self.of(term)
+        return value
+
+
+def _wrap_terms(parts: list[str]) -> list[str]:
+    return [" " + " ".join(parts[i : i + _PER_LINE]) for i in range(0, len(parts), _PER_LINE)]
 
 
 def export_lp(model: IlpModel) -> str:
     """Deterministic LP-format text; byte-identical for identical inputs."""
+    names = model.var_names
     lines = [
         f"\\ q={model.q} mode={model.mode} prune={'on' if model.prune_static else 'off'}"
         f" candidates={model.num_x} cells={len(model.cells)}",
         "Maximize",
     ]
-    obj_parts = []
-    for k in range(model.num_x):
-        prefix = "" if k == 0 else "+ "
-        obj_parts.append(f"{prefix}{model.var_names[k]}")
-    first, *rest = _wrap_terms(obj_parts)
+    first, *rest = _wrap_terms([names[0], *[f"+ {n}" for n in names[1 : model.num_x]]])
     lines.append(" obj:" + first)
     lines.extend(rest)
 
     lines.append("Subject To")
-    for row in model.rows:
-        parts = []
-        for pos, (coef, var) in enumerate(row.terms):
-            name = model.var_names[var]
-            mag = "" if abs(coef) == 1 else f"{abs(coef)} "
-            if pos == 0:
-                sign = "- " if coef < 0 else ""
-            else:
-                sign = "- " if coef < 0 else "+ "
-            parts.append(f"{sign}{mag}{name}")
-        body = _wrap_terms(parts)
-        body[-1] += f" {'=' if row.sense == '=' else '<='} {row.rhs}"
-        lines.append(f" {row.name}:" + body[0])
-        lines.extend(body[1:])
+    # "+ name", "- name" or "+ 2 name"; a row's first term drops a "+ " sign
+    text = _PerTerm(
+        lambda term: f"{'-' if term[0] < 0 else '+'} "
+        f"{'' if abs(term[0]) == 1 else f'{abs(term[0])} '}{names[term[1]]}"
+    ).__getitem__
+    for name, terms, sense, rhs, _ in model.rows:
+        parts = [*map(text, terms)]
+        if parts[0][0] == "+":
+            parts[0] = parts[0][2:]
+        end = f" {'=' if sense == '=' else '<='} {rhs}"
+        if len(parts) <= _PER_LINE:  # one line: no wrapping and no slices
+            lines.append(f" {name}: {' '.join(parts)}{end}")
+        else:
+            body = _wrap_terms(parts)
+            lines.append(f" {name}:{body[0]}")
+            lines.extend(body[1:])
+            lines[-1] += end
 
     if model.fixed_zero:
         lines.append("Bounds")
-        for k in model.fixed_zero:
-            lines.append(f" {model.var_names[k]} = 0")
+        lines.extend(f" {names[k]} = 0" for k in model.fixed_zero)
 
     lines.append("Binary")
-    for name in model.var_names:
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines.extend(f" {name}" for name in names)
+    lines.append("End\n")
+    return "\n".join(lines)
 
 
 def family_to_assignment(model: IlpModel, family: Family) -> list[int]:
@@ -228,12 +228,12 @@ def evaluate(model: IlpModel, values: list[int]) -> list[str]:
     """Names of constraint rows violated by a 0/1 vector, in model order."""
     if len(values) != model.num_vars:
         raise ValueError(f"expected {model.num_vars} values, got {len(values)}")
+    value = _PerTerm(lambda term: term[0] * values[term[1]]).__getitem__
     violated = []
-    for row in model.rows:
-        total = sum(coef * values[var] for coef, var in row.terms)
-        ok = total == row.rhs if row.sense == "=" else total <= row.rhs
-        if not ok:
-            violated.append(row.name)
+    for name, terms, sense, rhs, _ in model.rows:
+        total = sum(map(value, terms))
+        if total != rhs if sense == "=" else total > rhs:
+            violated.append(name)
     for k in model.fixed_zero:
         if values[k]:
             violated.append(f"fixed_{model.var_names[k]}")
