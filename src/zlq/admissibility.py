@@ -36,10 +36,14 @@ board is built one way: ``ScratchBoard.over`` places a base family and
 
 ``CandidateSlices`` is the bit-sliced view of a candidate table: one
 bitmask over candidate indices per row and per column, for each half.
-``CandidateSlices.own_ok`` judges the own rules of every candidate on one
-board at once and equals ``insertion_ok`` with nothing placed, by tested
-contract.  The search filters each fill's order through it, so the kernel
-sees only the candidates whose own rules hold on the fill's starting board.
+``OwnRuleState`` holds the mask of the candidates whose own rules fail on
+a board, and keeps it up to date as edges are placed and undone;
+``CandidateSlices.own_ok``, its complement on one board, equals
+``insertion_ok`` with nothing placed, by tested contract.  The search
+filters each fill's order through ``own_ok``, so the kernel sees only the
+candidates whose own rules hold on the fill's starting board, and the
+exact solver forward-checks its tree and builds its conflict rows with the
+state.
 """
 
 from __future__ import annotations
@@ -350,26 +354,54 @@ class CandidateSlices:
         """The mask of the candidates whose own rules hold on ``board``.
 
         Equal, by tested contract, to the candidates that
-        ``board.insertion_ok`` accepts with nothing placed.  A candidate
-        passes when both its cells are free (S), when not both its corners
-        are occupied (C2), and when no occupied (x, y) has c1 and c2
-        occupied in row x and r1 and r2 occupied in column y (C3).  Once
-        both own cells are free, such an x lies outside {r1, r2} and such a
-        y outside {c1, c2}, as the five-cell rule asks; and a degenerate
-        candidate's corners are its own cells, so C2 needs no degeneracy
-        test.
+        ``board.insertion_ok`` accepts with nothing placed: the complement
+        of an ``OwnRuleState``'s dead mask.
         """
+        return self.everything & ~OwnRuleState(self, board).dead
+
+
+class OwnRuleState:
+    """The candidates whose own rules fail on a board, kept up to date edge by edge.
+
+    Built from a ``CandidateSlices`` table and a board, it keeps per row
+    index x the candidates whose first (second) column is occupied in x
+    (``in_row1``, ``in_row2``), per column y the candidates whose first
+    (second) row is occupied in y (``in_col1``, ``in_col2``), and one mask
+    per rule: ``taken`` for (r1, c1) or (r2, c2) occupied (S), ``corner1``
+    and ``corner2`` for (r1, c2) and (r2, c1) occupied (C2), and ``five``
+    for an occupied (x, y) with c1 and c2 occupied in row x and r1 and r2
+    occupied in column y (C3).  Once both own cells are free, such an x
+    lies outside {r1, r2} and such a y outside {c1, c2}, as the five-cell
+    rule asks; and a degenerate candidate's corners are its own cells, so
+    C2 needs no degeneracy test.  ``dead`` is ``taken | corner1 & corner2
+    | five``.
+
+    ``place`` puts an edge on the board and updates only the lines of its
+    two cells; ``undo`` takes the last placed edge off and restores the
+    twelve masks it saved.  While the state is in use, every change to
+    the board goes through it.
+    """
+
+    __slots__ = (
+        "slices", "board", "in_row1", "in_row2", "in_col1", "in_col2",
+        "taken", "corner1", "corner2", "five", "saved",
+    )
+
+    def __init__(self, slices: CandidateSlices, board: ScratchBoard):
+        self.slices = slices
+        self.board = board
+        col1, col2 = slices.col1, slices.col2
         # per row x: candidates whose first / second column is occupied in row x
-        in_row1, in_row2 = _unions(board.col_masks, self.col1, self.col2)
+        self.in_row1, self.in_row2 = _unions(board.col_masks, col1, col2)
         # per column y: candidates whose first / second row is occupied in column y
-        in_col1, in_col2 = _unions(board.row_masks, self.row1, self.row2)
-        both_in_row = [a & b for a, b in zip(in_row1, in_row2)]
+        self.in_col1, self.in_col2 = _unions(board.row_masks, slices.row1, slices.row2)
+        both_in_row = [a & b for a, b in zip(self.in_row1, self.in_row2)]
         taken = corner1 = corner2 = five = 0
         for y, xs in enumerate(board.row_masks):
-            at1, at2 = in_col1[y], in_col2[y]
-            taken |= self.col1[y] & at1 | self.col2[y] & at2  # (r1, c1) or (r2, c2) occupied
-            corner1 |= self.col2[y] & at1  # (r1, c2) occupied
-            corner2 |= self.col1[y] & at2  # (r2, c1) occupied
+            at1, at2 = self.in_col1[y], self.in_col2[y]
+            taken |= col1[y] & at1 | col2[y] & at2  # (r1, c1) or (r2, c2) occupied
+            corner1 |= col2[y] & at1  # (r1, c2) occupied
+            corner2 |= col1[y] & at2  # (r2, c1) occupied
             both_in_col = at1 & at2
             if both_in_col:
                 witnesses = 0  # candidates with c1 and c2 occupied in some row x occupied at y
@@ -378,7 +410,73 @@ class CandidateSlices:
                     witnesses |= both_in_row[low.bit_length() - 1]
                     xs ^= low
                 five |= both_in_col & witnesses
-        return self.everything & ~(taken | corner1 & corner2 | five)
+        self.taken, self.corner1, self.corner2, self.five = taken, corner1, corner2, five
+        self.saved: list[tuple[int, ...]] = []
+
+    @property
+    def dead(self) -> int:
+        """The candidates whose own rules fail on the board as it stands."""
+        return self.taken | self.corner1 & self.corner2 | self.five
+
+    def place(self, r1: int, c1: int, r2: int, c2: int) -> None:
+        """Place an edge whose cells are free, and update the rule masks."""
+        in_row1, in_row2, in_col1, in_col2 = self.in_row1, self.in_row2, self.in_col1, self.in_col2
+        self.saved.append((
+            r1, c1, r2, c2, self.taken, self.corner1, self.corner2, self.five,
+            in_row1[r1], in_row2[r1], in_col1[c1], in_col2[c1],
+            in_row1[r2], in_row2[r2], in_col1[c2], in_col2[c2],
+        ))
+        self.board.place(r1, c1, r2, c2)
+        # the five-cell terms are ORs of terms of the final masks at occupied
+        # cells, so adding one cell while the other is already on the board
+        # adds nothing false, and adding the other completes the update
+        self._add(r1, c1)
+        self._add(r2, c2)
+
+    def _add(self, r: int, c: int) -> None:
+        """Fold the newly occupied cell (r, c) into every mask.
+
+        Only row r and column c change, so the new five-cell kills come
+        from the occupied cells of column c (their rows x against column c)
+        and of row r (row r against their columns y).
+        """
+        slices = self.slices
+        in_row1, in_row2, in_col1, in_col2 = self.in_row1, self.in_row2, self.in_col1, self.in_col2
+        col1, col2, row1, row2 = slices.col1[c], slices.col2[c], slices.row1[r], slices.row2[r]
+        in_row1[r] |= col1
+        in_row2[r] |= col2
+        in_col1[c] |= row1
+        in_col2[c] |= row2
+        self.taken |= col1 & row1 | col2 & row2
+        self.corner1 |= col2 & row1
+        self.corner2 |= col1 & row2
+        both = in_col1[c] & in_col2[c]
+        if both:
+            xs, w = self.board.row_masks[c], 0
+            while xs:
+                low = xs & -xs
+                x = low.bit_length() - 1
+                w |= in_row1[x] & in_row2[x]
+                xs ^= low
+            self.five |= both & w
+        both = in_row1[r] & in_row2[r]
+        if both:
+            ys, w = self.board.col_masks[r], 0
+            while ys:
+                low = ys & -ys
+                y = low.bit_length() - 1
+                w |= in_col1[y] & in_col2[y]
+                ys ^= low
+            self.five |= both & w
+
+    def undo(self) -> None:
+        """Take the last placed edge off the board and restore the masks."""
+        (r1, c1, r2, c2, self.taken, self.corner1, self.corner2, self.five,
+         a1, a2, b1, b2, d1, d2, e1, e2) = self.saved.pop()
+        self.board.unplace(r1, c1, r2, c2)
+        # saved before either cell was added, so a shared line restores either way
+        self.in_row1[r2], self.in_row2[r2], self.in_col1[c2], self.in_col2[c2] = d1, d2, e1, e2
+        self.in_row1[r1], self.in_row2[r1], self.in_col1[c1], self.in_col2[c1] = a1, a2, b1, b2
 
 
 def _claims(family: Family) -> dict[Cell, list[int]]:

@@ -9,10 +9,17 @@ everything chosen.  Pruning combines
 
 * a compatibility mask per candidate (pairs whose two-element family is
   already inadmissible can never coexist),
-* the count of still-compatible later candidates,
-* the free-cell cap: each edge takes two distinct free cells, so no
-  extension of the base has more than ``available // 2 - len(base)``
-  edges (``available`` from ``counting_summary``),
+* forward checking: after each choice, the untried candidates whose own
+  rules now fail on the board are dropped (an ``OwnRuleState`` keeps
+  that mask up to date edge by edge, and heredity makes the drop exact),
+* the count of still-compatible later candidates, under the free-cell
+  cap: each edge takes two distinct free cells, so no extension of the
+  base has more than ``available // 2 - len(base)`` edges (``available``
+  from ``counting_summary``),
+* a greedy clique cover of the untried candidates by the conflict graph
+  (after BBMC, San Segundo et al., Comput. Oper. Res. 2011, and MCQ,
+  Tomita & Kameda, J. Global Optim. 2007): a family takes at most one
+  candidate per clique,
 * optionally, vertex-relabeling symmetry: the candidate chosen first can
   be restricted to one representative per orbit of the relabeling action,
   because every family has a relabeled image whose first candidate (in the
@@ -20,7 +27,8 @@ everything chosen.  Pruning combines
 
 Pairwise masks are a relaxation (three or more edges can clash through the
 five-cell rule even when all pairs coexist), so every extension is still
-guarded by the exact incremental check.
+guarded by the exact incremental check.  The masks come from one
+``OwnRuleState`` update per candidate, closed symmetrically.
 
 One function, ``_solve``, is the whole branch and bound, and it serves
 both entry points: ``solve_exact`` runs it over an empty base,
@@ -30,7 +38,9 @@ order.  The tree is one loop over an explicit stack of (chosen candidate,
 untried candidates) pairs.  A first-fit pass over the static order, on a
 second board, seeds the incumbent, and only a strictly larger family
 replaces it, so the certificate is the first maximum family the
-enumeration meets and the same call always returns it.
+enumeration meets and the same call always returns it.  Every bound cuts
+only subtrees that cannot beat the incumbent strictly, so the bounds
+change node counts but never the certificate of an exhausted tree.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .board import (
     make_edge,
 )
 from .families import Family
-from .admissibility import ScratchBoard, verify
+from .admissibility import CandidateSlices, OwnRuleState, ScratchBoard, verify
 
 OPTIMAL = "optimal"
 INCUMBENT = "incumbent"
@@ -118,6 +128,27 @@ def candidate_orbits(q: int, candidates: list[TwoEdge]) -> list[list[int]]:
     return orbits
 
 
+def clique_cover(remaining: int, conflicts: list[int], limit: int) -> int:
+    """Cliques in a greedy cover of ``remaining`` by the conflict graph, counted to ``limit + 1``.
+
+    Each clique starts at the lowest uncovered candidate and grows by the
+    lowest one that conflicts with every member so far.  A family takes at
+    most one candidate per clique, so the count bounds every family drawn
+    from ``remaining``.  Counting stops once it passes ``limit``.
+    """
+    count = 0
+    while remaining and count <= limit:
+        low = remaining & -remaining
+        remaining ^= low
+        grow = remaining & conflicts[low.bit_length() - 1]
+        while grow:
+            low = grow & -grow
+            remaining ^= low
+            grow &= conflicts[low.bit_length() - 1]
+        count += 1
+    return count
+
+
 def pairwise_conflicts(
     board: ScratchBoard,
     coords: list[tuple[int, int, int, int]],
@@ -135,22 +166,52 @@ def pairwise_conflicts(
     larger clashes surface in the incremental checks of the search itself.
     The board is left as it was found.
 
-    Past ``deadline`` (a ``time.monotonic`` value) no further rows are
-    filled; a partial relation is still sound, it only prunes less.
+    Row i starts as the candidates whose own rules fail once i is placed,
+    one ``OwnRuleState`` update each, and the rows are then closed
+    symmetrically (j breaking i is bit j of row i too).  Over a non-empty
+    base two candidates can also complete a base edge's pattern together,
+    so the kernel re-checks the base edges for every later pair a row
+    still lacks.
+
+    The deadline (a ``time.monotonic`` value) is checked once per row of
+    each pass.  Past it no further rows are filled or closed, and the rows
+    come back as they stand: a partial relation is still sound, it only
+    prunes less.
     """
     n = len(coords)
+    state = OwnRuleState(CandidateSlices(len(board.row_masks) - 1, coords), board)
     masks = [0] * n
     for i in range(n):
         if deadline is not None and time.monotonic() > deadline:
+            return masks
+        state.place(*coords[i])
+        masks[i] = state.dead & ~(1 << i)
+        state.undo()
+    rows = masks[:]  # as filled, each dropped once its bits are mirrored
+    for i in range(n):  # close symmetrically: j breaking i is bit j of row i too
+        if deadline is not None and time.monotonic() > deadline:
             break
-        placed_i = placed + [(*coords[i], nondeg[i])]
-        board.place(*coords[i])
-        bit_i = 1 << i
-        for j in range(i + 1, n):
-            if not board.insertion_ok(coords[j], nondeg[j], placed_i):
-                masks[i] |= 1 << j
-                masks[j] |= bit_i
-        board.unplace(*coords[i])
+        row, rows[i], bit_i = rows[i], 0, 1 << i
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= bit_i
+            row ^= low
+    del rows
+    if placed:
+        every = (1 << n) - 1
+        for i in range(n):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            board.place(*coords[i])
+            unjudged = every & ~masks[i] & ~((2 << i) - 1)  # later candidates not yet in row i
+            while unjudged:
+                low = unjudged & -unjudged
+                j = low.bit_length() - 1
+                unjudged ^= low
+                if not board.insertion_ok(coords[j], nondeg[j], placed):
+                    masks[i] |= low
+                    masks[j] |= 1 << i
+            board.unplace(*coords[i])
     return masks
 
 
@@ -170,12 +231,18 @@ def _solve(
     The tree is one loop.  ``remaining`` holds the current level's untried
     candidates; with ``size`` chosen, the level is cut when ``min(size +
     |remaining|, cap)`` cannot beat the incumbent, ``cap`` being the
-    free-cell cap, fixed for the whole solve.  A candidate that fits is
-    pushed with ``remaining`` and the loop descends to what is compatible
-    with it; an empty or cut level pops back to its parent.
+    free-cell cap, fixed for the whole solve, and otherwise when ``size``
+    plus a greedy clique cover of ``remaining`` cannot.  A candidate that
+    fits is pushed with ``remaining`` and the loop descends to what is
+    compatible with it and still passes its own rules; an empty or cut
+    level pops back to its parent.  The ``done`` event counts the levels
+    each bound cut and the candidates forward checking removed.
     Symmetry is sound only when the base is empty and the candidate list is
     closed under vertex relabeling.  Budgets count from ``start`` and must be
     non-negative; the reported node count never exceeds the node budget.
+    Past the deadline after the conflict pass, the static order is never
+    made and the tree never starts: the result is the seed, as an
+    incumbent.
     """
     check_budget("node limit", node_limit)
     check_budget("time limit", time_limit)
@@ -187,21 +254,29 @@ def _solve(
     edges, coords, nondeg = scratch.fitting(candidates, base_placed)
     pruned_static = len(candidates) - len(edges)
 
-    # static order, most conflicts first; only the renumbered table and masks stay
-    masks = pairwise_conflicts(scratch, coords, nondeg, base_placed, deadline)
-    perm = sorted(range(len(edges)), key=lambda k: -masks[k].bit_count())
-    pos_of = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
-    edges = [edges[k] for k in perm]
-    coords = [coords[k] for k in perm]
-    nondeg = [nondeg[k] for k in perm]
-    conflicts = [0] * len(edges)
-    for p, k in enumerate(perm):
-        mask = masks[k]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            conflicts[p] |= 1 << pos_of[j]
-    del masks, perm, pos_of
+    conflicts = pairwise_conflicts(scratch, coords, nondeg, base_placed, deadline)
+    # past the deadline the tree never starts, so the relation needs no order;
+    # a renumbering the deadline cuts short is partial, and the tree skipped too
+    late = deadline is not None and time.monotonic() > deadline
+    if not late:
+        # static order, most conflicts first; only the renumbered table and masks stay
+        perm = sorted(range(len(edges)), key=lambda k: -conflicts[k].bit_count())
+        pos_of = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
+        edges = [edges[k] for k in perm]
+        coords = [coords[k] for k in perm]
+        nondeg = [nondeg[k] for k in perm]
+        renumbered = [0] * len(perm)
+        for p, k in enumerate(perm):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            mask, conflicts[k] = conflicts[k], 0
+            while mask:
+                low = mask & -mask
+                renumbered[p] |= 1 << pos_of[low.bit_length() - 1]
+                mask ^= low
+        conflicts = renumbered
+        del perm, pos_of, renumbered
+        late = deadline is not None and time.monotonic() > deadline
 
     every = (1 << len(edges)) - 1
     orbit_count: int | None = None
@@ -220,20 +295,28 @@ def _solve(
     events: list[dict] = [
         {"event": "bound", "where": "root", "value": min(len(edges), cap), "incumbent": len(best)}
     ]
-    nodes = 0
+    nodes = count_cuts = cover_cuts = forward_removed = 0
     size = 0  # len(stack)
     cutoff = len(best)
     placed = list(base_placed)
     stack: list[tuple[int, int]] = []  # per chosen candidate: it and its level's untried mask
-    remaining = every
-    status = OPTIMAL
+    remaining, status = (0, INCUMBENT) if late else (every, OPTIMAL)
+    rules = OwnRuleState(CandidateSlices(q, coords), scratch) if remaining else None
     while True:
-        if not remaining or min(size + remaining.bit_count(), cap) <= cutoff:
+        if remaining:
+            room = cutoff - size  # a better family needs more than this from remaining
+            if min(remaining.bit_count(), cap - size) <= room:
+                count_cuts += 1
+                remaining = 0
+            elif clique_cover(remaining, conflicts, room) <= room:
+                cover_cuts += 1
+                remaining = 0
+        if not remaining:
             if not stack:
                 break
             i, remaining = stack.pop()  # backtrack: unplace this level's choice
             placed.pop()
-            scratch.unplace(*coords[i])
+            rules.undo()
             size -= 1
             continue
         i = (remaining & -remaining).bit_length() - 1
@@ -252,10 +335,13 @@ def _solve(
             break
         ci = coords[i]
         if scratch.insertion_ok(ci, nondeg[i], placed):
-            scratch.place(*ci)
+            rules.place(*ci)
             placed.append((*ci, nondeg[i]))
             stack.append((i, remaining))  # descend
             remaining &= ~conflicts[i]
+            dead = remaining & rules.dead  # forward checking: their own rules now fail
+            forward_removed += dead.bit_count()
+            remaining ^= dead
             size += 1
             if size > cutoff:
                 best = tuple(k for k, _ in stack)
@@ -265,7 +351,10 @@ def _solve(
     certificate = Family.from_edges(q, list(base.edges) + [edges[k] for k in best])
     if not verify(certificate).ok:  # pragma: no cover - internal invariant
         raise RuntimeError("exact solver produced an unverifiable certificate")
-    events.append({"event": "done", "status": status, "size": len(best), "nodes": nodes})
+    events.append({
+        "event": "done", "status": status, "size": len(best), "nodes": nodes,
+        "count_cuts": count_cuts, "cover_cuts": cover_cuts, "forward_removed": forward_removed,
+    })
     return ExactResult(
         status=status,
         q=q,

@@ -13,6 +13,7 @@ from zlq import (
 )
 from zlq.admissibility import (
     CandidateSlices,
+    OwnRuleState,
     ScratchBoard,
     cell_claims,
     corner_cells,
@@ -537,3 +538,38 @@ def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
     assert slices.own_ok(boards[0]) == static
     if q >= 3:
         assert 0 < static < slices.everything == (1 << len(pool)) - 1
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q, steps", [(3, 300), (4, 200), (5, 60), (6, 30)])
+def test_own_rule_state_is_own_ok_after_every_place_and_undo(q, mode, steps):
+    # random walks of places and undos, from the empty board and from random bases
+    rng = random.Random(31 * q + len(mode))
+    pool = candidate_family(q, mode)
+    lookup = ScratchBoard(q)
+    coords = [lookup.coords(e) for e in pool]
+    nondeg = [classify(e) == NONDEGENERATE for e in pool]
+    slices = CandidateSlices(q, coords)
+    for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
+        board = ScratchBoard.over(q, base.edges)[0]
+        start = _board_state(board)
+        state = OwnRuleState(slices, board)
+        first = state.dead
+        chosen = []
+        for _ in range(steps):
+            alive = [k for k in range(len(pool)) if not (state.dead >> k) & 1]
+            if chosen and (not alive or rng.random() < 0.35):
+                state.undo()
+                chosen.pop()
+            elif alive:
+                chosen.append(rng.choice(alive))
+                state.place(*coords[chosen[-1]])
+            assert state.dead == slices.everything & ~slices.own_ok(board)
+            if q <= 4:
+                assert state.dead == slices.everything & ~_kernel_mask(board, coords, nondeg)
+            again = ScratchBoard.over(q, list(base.edges) + [pool[k] for k in chosen])[0]
+            assert _board_state(board) == _board_state(again)
+        while chosen:
+            state.undo()
+            chosen.pop()
+        assert (_board_state(board), state.dead, state.saved) == (start, first, [])

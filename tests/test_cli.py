@@ -157,12 +157,12 @@ def test_solve_exact_budget_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, digest", [
-    # 318,197 nodes: the log holds node events as well as bound, incumbent and done
+    # 46,993 nodes: bound, incumbent and done, with the cuts per bound in done
     (["--q", "4", "--symmetry"], 0,
-     "2190c676becd8bc0a83e5ccab48b270c55192ed04968331bab46ad259ead0829"),
+     "d7174e1278961cf2a18202bbed433f3b20fe38b81b9969bb41920703e6f9111f"),
     (["--q", "4", "--node-limit", "20000"], 1,
-     "a01caad77a9abb58a12fcbb201791ff94ea2c96f4e8d45ff9c3de77e2c9bfde4"),
-])
+     "60ecebdf0ffeb7e3d1d8fabfffde2ea4b4ece392c27533617681cf22607a131a"),
+], ids=["q4-symmetry", "q4-node-limit"])
 def test_solve_exact_event_log_is_pinned(tmp_path, capsys, argv, code, digest):
     log = tmp_path / "events.jsonl"
     got, _, _ = run_cli(capsys, "solve-exact", *argv, "--quiet", "--log", str(log))

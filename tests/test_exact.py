@@ -13,6 +13,7 @@ from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify, cou
 from zlq.exact import (
     apply_vertex_permutation,
     candidate_orbits,
+    clique_cover,
     pairwise_conflicts,
     solve_extension,
 )
@@ -152,6 +153,118 @@ def test_conflicts_leave_the_board_as_found(base_size):
     assert (board.col_masks, board.row_masks, placed) == state
 
 
+def _kernel_pair(board, coords, nondeg, placed, i, j):
+    """The kernel's verdict on a pair: the later one inserted with the earlier one placed."""
+    lo, hi = min(i, j), max(i, j)
+    board.place(*coords[lo])
+    ok = board.insertion_ok(coords[hi], nondeg[hi], placed + [(*coords[lo], nondeg[lo])])
+    board.unplace(*coords[lo])
+    return not ok
+
+
+def _kernel_conflicts(board, coords, nondeg, placed):
+    """The K-squared kernel loop: one ``insertion_ok`` call per pair."""
+    masks = [0] * len(coords)
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        if _kernel_pair(board, coords, nondeg, placed, i, j):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def _bases(rng, q, count):
+    """The empty base and ``count`` random subfamilies of the reference family."""
+    return [()] + [random_subfamily(rng, reference_family(q)).edges for _ in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_conflicts_are_the_kernel_loop_exhaustively(q, mode):
+    rng = random.Random(11 * q + len(mode))
+    for base in _bases(rng, q, 3 if q < 4 else 2):
+        board, placed = ScratchBoard.over(q, base)
+        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
+        expected = _kernel_conflicts(board, coords, nondeg, placed)
+        assert pairwise_conflicts(board, coords, nondeg, placed) == expected, base
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [5, 6])
+def test_conflicts_are_the_kernel_loop_on_random_rows(q, mode):
+    rng = random.Random(13 * q + len(mode))
+    for base in _bases(rng, q, 1):
+        board, placed = ScratchBoard.over(q, base)
+        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
+        masks = pairwise_conflicts(board, coords, nondeg, placed)
+        for i in rng.sample(range(len(coords)), 3):
+            row = sum(
+                1 << j for j in range(len(coords))
+                if j != i and _kernel_pair(board, coords, nondeg, placed, i, j)
+            )
+            assert masks[i] == row, (base, i)
+
+
+def _max_family(q, edges, masks, subset):
+    """The largest admissible family inside ``subset``, by trying every independent set."""
+    best = 0
+    members = [k for k in range(len(edges)) if (subset >> k) & 1]
+    for size in range(1, len(members) + 1):
+        found = False
+        for combo in itertools.combinations(members, size):
+            if any((masks[a] >> b) & 1 for a, b in itertools.combinations(combo, 2)):
+                continue
+            if verify(Family.from_edges(q, [edges[k] for k in combo])).ok:
+                found = True
+                break
+        if not found:
+            return best
+        best = size
+    return best
+
+
+@pytest.mark.parametrize("q, mode", [(3, "full"), (4, "full"), (4, "nondeg")])
+def test_the_clique_cover_never_undercuts_the_best_family(q, mode):
+    rng = random.Random(17 * q + len(mode))
+    board, placed = ScratchBoard.over(q, [])
+    edges, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
+    masks = pairwise_conflicts(board, coords, nondeg, placed)
+    for _ in range(60):
+        subset = sum(1 << k for k in rng.sample(range(len(edges)), rng.randint(1, 14)))
+        cover = clique_cover(subset, masks, subset.bit_count())
+        assert cover >= _max_family(q, edges, masks, subset)
+        # counting stops once it passes the limit
+        for limit in range(cover + 1):
+            assert clique_cover(subset, masks, limit) == min(cover, limit + 1)
+
+
+def _budget_runs():
+    """Solves with a node budget, by name, each with the budgets to try."""
+    pool = new_vertex_candidates(5, candidate_family(5, "full"))
+    base = embed(reference_family(4))
+    return [
+        (lambda limit: solve_exact(3, node_limit=limit), range(0, 13)),
+        (lambda limit: solve_exact(3, "nondeg", symmetry=True, node_limit=limit), range(0, 6)),
+        (lambda limit: solve_extension(base, pool, node_limit=limit), (0, 1, 100, 4351, 6948, 6949, 6950)),
+    ]
+
+
+def test_optimal_only_when_the_tree_is_exhausted():
+    for run, limits in _budget_runs():
+        whole = run(None)
+        assert whole.optimal
+        for limit in limits:
+            result = run(limit)
+            assert result.optimal == (limit > whole.nodes), limit
+            assert result.nodes == min(limit, whole.nodes)
+            assert verify(result.certificate).ok
+            if result.optimal:
+                assert result.certificate == whole.certificate
+    # a deadline inside the tree: q=4 without symmetry takes over a million nodes
+    result = solve_exact(4, time_limit=0.5)
+    assert result.status == "incumbent" and 0 < result.nodes < 1_333_217
+    assert verify(result.certificate).ok
+
+
 def _root_bound(result, candidates, base_size):
     """The root ``bound`` event, and the compatible-count bound under the free-cell cap."""
     cap = counting_summary(result.q).available // 2 - base_size
@@ -179,7 +292,8 @@ def test_a_zero_node_budget_visits_no_node():
         result = solve_exact(q, node_limit=0)
         assert result.status == "incumbent" and result.nodes == 0
         assert result.events[-1] == {
-            "event": "done", "status": "incumbent", "size": result.size, "nodes": 0
+            "event": "done", "status": "incumbent", "size": result.size, "nodes": 0,
+            "count_cuts": 0, "cover_cuts": 0, "forward_removed": 0,
         }
         assert verify(result.certificate).ok
         assert solve_exact(q, node_limit=1).nodes == 1
@@ -282,22 +396,26 @@ def _q4_family_extended_to_q5():
         "0925d3482450678603939a2c26158e25679f6a8d004e446f462626d355543339",
         [
             {"event": "bound", "where": "root", "value": 30, "incumbent": 7},
-            {"event": "incumbent", "size": 8, "nodes": 7599},
-            {"event": "done", "status": "incumbent", "size": 8, "nodes": 20_000},
+            {"event": "incumbent", "size": 8, "nodes": 2626},
+            {"event": "done", "status": "incumbent", "size": 8, "nodes": 20_000,
+             "count_cuts": 1188, "cover_cuts": 401, "forward_removed": 11347},
         ],
     ),
     (
+        # the bounds now exhaust this tree well inside the budget
         _q4_family_extended_to_q5,
-        ("incumbent", 5, 20_000, 1143, None),
-        "f89046ecaf88491e6c987172f924adbc757767ba9435e43750566fdd10d35a0d",
+        ("optimal", 6, 6949, 1143, None),
+        "e7b9e94900e5417a881db912cf983e42f8ada4beefeecd5d5dd03ed61cf67564",
         [
             {"event": "bound", "where": "root", "value": 24, "incumbent": 3},
-            {"event": "incumbent", "size": 4, "nodes": 118},
-            {"event": "incumbent", "size": 5, "nodes": 188},
-            {"event": "done", "status": "incumbent", "size": 5, "nodes": 20_000},
+            {"event": "incumbent", "size": 4, "nodes": 36},
+            {"event": "incumbent", "size": 5, "nodes": 48},
+            {"event": "incumbent", "size": 6, "nodes": 4351},
+            {"event": "done", "status": "optimal", "size": 6, "nodes": 6949,
+             "count_cuts": 984, "cover_cuts": 5026, "forward_removed": 5772},
         ],
     ),
-])
+], ids=["_q5_under_budget", "_q4_family_extended_to_q5"])
 def test_budgeted_search_paths_are_pinned(run, pinned, digest, events):
     # the q=5 path under symmetry, and a path over a non-empty base
     result = run()
@@ -362,7 +480,7 @@ def test_q4_optimum_without_symmetry_agrees():
     with_symmetry = solve_exact(4, symmetry=True)
     assert with_symmetry.optimal and with_symmetry.size == 6
     # the search path itself is pinned
-    assert with_symmetry.nodes == 318_197
+    assert with_symmetry.nodes == 46_993
     digest = family_sha256(with_symmetry.certificate)
     assert digest == "3deed3b83e973865b08a91def13ce8773f8c311461817b341cd2ac8b00fb4102"
     plain = solve_exact(4, symmetry=False)
@@ -396,4 +514,4 @@ def test_the_tree_is_pinned_on_a_battery():
         record = (result.status, result.size, result.nodes,
                   family_sha256(result.certificate), list(result.events))
         digest.update(json.dumps(record).encode())
-    assert digest.hexdigest() == "6a66418a57c8b5ff5433e07114a5e5f10d6ba8458521860f136e484359e3806c"
+    assert digest.hexdigest() == "cf6bc9ac912c4c2d337b8ef6d0a3836db1f8ac474334f9bd45aa57b576e32c07"
