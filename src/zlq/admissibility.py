@@ -28,7 +28,8 @@ views, per-row column masks and per-column row masks, so the five-cell scan
 reduces to three mask intersections; tests compare it exhaustively with the
 definition.  A candidate's own rules never involve its own two cells, so
 they are checked before it is placed, and only the re-check of the edges
-already on the board needs the new cells.  ``ScratchBoard.first_fit`` is
+already on the board (``ScratchBoard.recheck_ok``, which the exact solver
+calls alone) needs the new cells.  ``ScratchBoard.first_fit`` is
 the batched form of the kernel: greedy first-fit over a candidate order,
 shared by the search fills and the exact solver's seed.  Every kernel
 board is built one way: ``ScratchBoard.over`` places a base family and
@@ -98,17 +99,17 @@ def witness_set(edge: TwoEdge, q: int) -> list[tuple[Row, int]]:
     edges keep witnesses whose patterns contain coincident cells.
     """
     check_q(q)
+    for half in edge:
+        validate_cell(q, half)
+    return _witnesses(edge, q, rows(q))
+
+
+def _witnesses(edge: TwoEdge, q: int, board_rows: list[Row]) -> list[tuple[Row, int]]:
+    """``witness_set`` without its checks, for callers that pass one board's ``rows(q)``."""
     (i1, j1, c1), (i2, j2, c2) = edge
-    validate_cell(q, (i1, j1, c1))
-    validate_cell(q, (i2, j2, c2))
     r1, r2 = (i1, j1), (i2, j2)
-    return [
-        (x, y)
-        for x in rows(q)
-        if x != r1 and x != r2
-        for y in range(q + 1)
-        if y != c1 and y != c2
-    ]
+    ys = [y for y in range(q + 1) if y != c1 and y != c2]
+    return [(x, y) for x in board_rows if x != r1 and x != r2 for y in ys]
 
 
 def pattern_cells(edge: TwoEdge, witness: tuple[Row, int]) -> tuple[Cell, ...]:
@@ -235,20 +236,32 @@ class ScratchBoard:
     ) -> bool:
         """Would placing this edge keep the board admissible?
 
-        ``placed`` holds the coords and nondegeneracy flags of the edges
-        already on the board, all of which are re-examined because the two
-        new cells may complete an opposite-corner or five-cell pattern for
-        them.  The edge's own rules are checked first, without placing it:
-        its corners are never its own cells, and ``c3_hit`` masks out its
-        own rows and columns.  The board is left unchanged.
+        The edge's own rules are checked first, without placing it: its
+        corners are never its own cells, and ``c3_hit`` masks out its own
+        rows and columns.  Then ``recheck_ok`` re-examines the edges already
+        on the board.  The board is left unchanged.
         """
         r1, c1, r2, c2 = coords
         if not self.cells_free(r1, c1, r2, c2):
             return False
         if (nondeg and self.c2_hit(r1, c1, r2, c2)) or self.c3_hit(r1, c1, r2, c2):
             return False
-        if not placed:
-            return True
+        return not placed or self.recheck_ok(coords, placed)
+
+    def recheck_ok(
+        self,
+        coords: tuple[int, int, int, int],
+        placed: list[tuple[int, int, int, int, bool]],
+    ) -> bool:
+        """Would every edge in ``placed`` keep its rules once this edge is placed?
+
+        ``placed`` holds the coords and nondegeneracy flags of the edges on
+        the board; the two new cells may complete an opposite-corner or
+        five-cell pattern for any of them.  The second half of
+        ``insertion_ok``, for callers that know the edge's own rules hold
+        (its cells must be free).  The board is left unchanged.
+        """
+        r1, c1, r2, c2 = coords
         self.place(r1, c1, r2, c2)
         try:
             for g1, gc1, g2, gc2, gnondeg in placed:
@@ -504,20 +517,23 @@ def verify(family: Family) -> VerifyResult:
     Simplicity violations come first, by cell.  Then, edge by edge in
     family order, the opposite-corner violation comes before the five-cell
     violations in witness order.  Degenerate edges never break the
-    opposite-corner rule.
+    opposite-corner rule.  A half off the board raises ``BoardError``.
     """
     claims = _claims(family)
+    for cell in claims:
+        validate_cell(family.q, cell)
     violations = [
         Violation(kind="S", edges=tuple(claims[cell]), cells=(cell,))
         for cell in sorted(claims)
         if len(claims[cell]) > 1
     ]
+    board_rows = rows(family.q)
     for k, edge in enumerate(family.edges):
         if classify(edge) == NONDEGENERATE:
             corners = corner_cells(edge)
             if _all_occupied(claims, corners):
                 violations.append(Violation(kind="C2", edges=(k,), cells=corners))
-        for witness in witness_set(edge, family.q):
+        for witness in _witnesses(edge, family.q, board_rows):
             cells = pattern_cells(edge, witness)
             if _all_occupied(claims, cells):
                 violations.append(Violation(kind="C3", edges=(k,), cells=cells, witness=witness))

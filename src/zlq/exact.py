@@ -27,8 +27,9 @@ everything chosen.  Pruning combines
 
 Pairwise masks are a relaxation (three or more edges can clash through the
 five-cell rule even when all pairs coexist), so every extension is still
-guarded by the exact incremental check.  The masks come from one
-``OwnRuleState`` update per candidate, closed symmetrically.
+guarded by a re-check of the placed edges.  The masks come from one
+``OwnRuleState`` update per candidate, closed symmetrically by OR-ing in
+their transpose; a second transpose renumbers them into the static order.
 
 One function, ``_solve``, is the whole branch and bound, and it serves
 both entry points: ``solve_exact`` runs it over an empty base,
@@ -45,7 +46,9 @@ change node counts but never the certificate of an exhausted tree.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 
 from .board import (
@@ -63,6 +66,7 @@ from .admissibility import CandidateSlices, OwnRuleState, ScratchBoard, verify
 
 OPTIMAL = "optimal"
 INCUMBENT = "incumbent"
+_BLOCK = 64  # columns per block of ``_transpose``
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,32 @@ def clique_cover(remaining: int, conflicts: list[int], limit: int) -> int:
     return count
 
 
+def _transpose(rows: list[int], deadline: float | None) -> list[int]:
+    """The columns of the square bit matrix ``rows``: bit i of column j is bit j of row i.
+
+    Per block of ``_BLOCK`` columns, each row's bits there fill one
+    machine word, the words (last row first) are printed as one string of
+    binary digits, and each column is parsed from every ``_BLOCK``-th
+    digit.  The deadline is checked once per block; past it the columns
+    not yet built stay 0, a subset of the true ones.
+    """
+    n = len(rows)
+    columns = [0] * n
+    words = array("Q", bytes(8 * n))
+    words.append(1)  # a leading 1 keeps the leading zeros of the last row's word
+    low = (1 << _BLOCK) - 1
+    for b in range(0, n, _BLOCK):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        for i, row in enumerate(rows):
+            words[i] = (row >> b) & low
+        text = format(int.from_bytes(words, sys.byteorder), "b")
+        width = min(_BLOCK, n - b)
+        columns[b : b + width] = [int(text[_BLOCK - j :: _BLOCK], 2) for j in range(width)]
+        del text  # freed before the next block's is made
+    return columns
+
+
 def pairwise_conflicts(
     board: ScratchBoard,
     coords: list[tuple[int, int, int, int]],
@@ -168,15 +198,15 @@ def pairwise_conflicts(
 
     Row i starts as the candidates whose own rules fail once i is placed,
     one ``OwnRuleState`` update each, and the rows are then closed
-    symmetrically (j breaking i is bit j of row i too).  Over a non-empty
-    base two candidates can also complete a base edge's pattern together,
-    so the kernel re-checks the base edges for every later pair a row
-    still lacks.
+    symmetrically by OR-ing in their transpose (j breaking i is bit j of
+    row i too).  Over a non-empty base two candidates can also complete a
+    base edge's pattern together, so the base edges are re-checked for
+    every later pair a row still lacks (their own rules hold there).
 
     The deadline (a ``time.monotonic`` value) is checked once per row of
-    each pass.  Past it no further rows are filled or closed, and the rows
-    come back as they stand: a partial relation is still sound, it only
-    prunes less.
+    the first and last pass and once per block of the transpose.  Past it
+    the rows come back as they stand: a partial relation is still sound,
+    it only prunes less.
     """
     n = len(coords)
     state = OwnRuleState(CandidateSlices(len(board.row_masks) - 1, coords), board)
@@ -187,16 +217,9 @@ def pairwise_conflicts(
         state.place(*coords[i])
         masks[i] = state.dead & ~(1 << i)
         state.undo()
-    rows = masks[:]  # as filled, each dropped once its bits are mirrored
-    for i in range(n):  # close symmetrically: j breaking i is bit j of row i too
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        row, rows[i], bit_i = rows[i], 0, 1 << i
-        while row:
-            low = row & -row
-            masks[low.bit_length() - 1] |= bit_i
-            row ^= low
-    del rows
+    # close symmetrically: j breaking i is bit j of row i too
+    for i, column in enumerate(_transpose(masks, deadline)):
+        masks[i] |= column
     if placed:
         every = (1 << n) - 1
         for i in range(n):
@@ -208,7 +231,7 @@ def pairwise_conflicts(
                 low = unjudged & -unjudged
                 j = low.bit_length() - 1
                 unjudged ^= low
-                if not board.insertion_ok(coords[j], nondeg[j], placed):
+                if not board.recheck_ok(coords[j], placed):
                     masks[i] |= low
                     masks[j] |= 1 << i
             board.unplace(*coords[i])
@@ -259,23 +282,15 @@ def _solve(
     # a renumbering the deadline cuts short is partial, and the tree skipped too
     late = deadline is not None and time.monotonic() > deadline
     if not late:
-        # static order, most conflicts first; only the renumbered table and masks stay
+        # static order, most conflicts first; only the renumbered table and masks
+        # stay.  The relation C is symmetric, so P C P^T is P (P C)^T.
         perm = sorted(range(len(edges)), key=lambda k: -conflicts[k].bit_count())
-        pos_of = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
         edges = [edges[k] for k in perm]
         coords = [coords[k] for k in perm]
         nondeg = [nondeg[k] for k in perm]
-        renumbered = [0] * len(perm)
-        for p, k in enumerate(perm):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            mask, conflicts[k] = conflicts[k], 0
-            while mask:
-                low = mask & -mask
-                renumbered[p] |= 1 << pos_of[low.bit_length() - 1]
-                mask ^= low
-        conflicts = renumbered
-        del perm, pos_of, renumbered
+        columns = _transpose([conflicts[k] for k in perm], deadline)
+        conflicts = [columns[k] for k in perm]
+        del perm, columns
         late = deadline is not None and time.monotonic() > deadline
 
     every = (1 << len(edges)) - 1
@@ -334,7 +349,8 @@ def _solve(
             status = INCUMBENT
             break
         ci = coords[i]
-        if scratch.insertion_ok(ci, nondeg[i], placed):
+        # forward checking keeps the own rules of everything in remaining
+        if not placed or scratch.recheck_ok(ci, placed):
             rules.place(*ci)
             placed.append((*ci, nondeg[i]))
             stack.append((i, remaining))  # descend

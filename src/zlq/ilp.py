@@ -39,10 +39,12 @@ from .board import (
     classify,
     available_cells,
     candidate_family,
+    rows as board_rows_of,
 )
 from .families import Family
 from .admissibility import (
     VerifyResult,
+    _witnesses,
     cell_claims,
     corner_cells,
     pattern_cells,
@@ -116,10 +118,11 @@ def build_model(q: int, mode: Mode = "full", prune_static: bool = False) -> IlpM
 
     nondeg = [classify(edge) == NONDEGENERATE for edge in cands]
     c2 = ((k, f"c2_{k}", "C2", corner_cells(e)) for k, e in enumerate(cands) if nondeg[k])
+    board_rows = board_rows_of(q)
     c3 = (
         (k, f"c3_{k}_{w}", "C3", pattern_cells(e, witness))
         for k, e in enumerate(cands)
-        for w, witness in enumerate(witness_set(e, q))
+        for w, witness in enumerate(_witnesses(e, q, board_rows))
     )
     # each rule row: x_k + occupancy of the rule's cells <= their count
     for k, name, tag, rule_cells in chain(c2, c3):

@@ -232,6 +232,9 @@ def test_incremental_check_rejects_an_edge_off_the_board():
         verify(Family(q=3, edges=fam.edges + (edge,)))
     with pytest.raises(BoardError, match="row pair"):
         incremental_check(fam, edge)
+    off_column = make_edge((0, 1, 2), (0, 2, 7))  # column 7 is off the q=3 board
+    with pytest.raises(BoardError, match="column must lie"):
+        verify(Family(q=3, edges=fam.edges + (off_column,)))
 
 
 def test_incremental_check_agrees_with_full_verifier():
@@ -500,9 +503,9 @@ def _kernel_mask(board, coords, nondeg):
     return sum(1 << k for k, ck in enumerate(coords) if board.insertion_ok(ck, nondeg[k], []))
 
 
-def _random_boards(rng, q, rounds):
-    """Empty, partial and maximal boards of random admissible families."""
-    boards = [ScratchBoard(q)]
+def _random_families(rng, q, rounds):
+    """Empty, partial and maximal random admissible families, as edge lists."""
+    families = [[]]
     cands = candidate_family(q, "full")
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in cands]
@@ -513,8 +516,13 @@ def _random_boards(rng, q, rounds):
         board, placed = ScratchBoard.over(q, [])
         maximal = [cands[k] for k in board.first_fit(order, coords, nondeg, placed)]
         partial = rng.sample(maximal, rng.randint(1, len(maximal) - 1)) if len(maximal) > 1 else []
-        boards += [ScratchBoard.over(q, partial)[0], board]
-    return boards
+        families += [partial, maximal]
+    return families
+
+
+def _random_boards(rng, q, rounds):
+    """Empty, partial and maximal boards of random admissible families."""
+    return [ScratchBoard.over(q, family)[0] for family in _random_families(rng, q, rounds)]
 
 
 @pytest.mark.parametrize("mode", ["full", "nondeg"])
@@ -573,3 +581,32 @@ def test_own_rule_state_is_own_ok_after_every_place_and_undo(q, mode, steps):
             state.undo()
             chosen.pop()
         assert (_board_state(board), state.dead, state.saved) == (start, first, [])
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q, rounds, sample", [(3, 30, None), (4, 30, None), (5, 5, 600), (6, 3, 600)])
+def test_recheck_is_insertion_ok_on_every_own_ok_candidate(q, mode, rounds, sample):
+    # the callers of recheck_ok already know the candidate's own rules hold;
+    # exhaustive up to q=4 (nothing fits at q=2), a random sample of each
+    # board's candidates above
+    rng = random.Random(97 * q + len(mode))
+    pool = candidate_family(q, mode)
+    lookup = ScratchBoard(q)
+    coords = [lookup.coords(e) for e in pool]
+    nondeg = [classify(e) == NONDEGENERATE for e in pool]
+    slices = CandidateSlices(q, coords)
+    verdicts = set()
+    for family in _random_families(rng, q, rounds):
+        board, placed = ScratchBoard.over(q, family)
+        before = _board_state(board), list(placed)
+        own_ok = slices.own_ok(board)
+        alive = [k for k in range(len(pool)) if (own_ok >> k) & 1]
+        for k in alive if sample is None else rng.sample(alive, min(sample, len(alive))):
+            verdict = board.recheck_ok(coords[k], placed)
+            assert verdict == board.insertion_ok(coords[k], nondeg[k], placed), (family, pool[k])
+            verdicts.add(verdict)
+        for k in rng.sample(alive, min(20, len(alive))):  # and the definition, on a few
+            extended = Family.from_edges(q, family + [pool[k]])
+            assert board.recheck_ok(coords[k], placed) == verify(extended).ok, (family, pool[k])
+        assert (_board_state(board), placed) == before
+    assert verdicts == {True, False}

@@ -8,9 +8,11 @@ import time
 import pytest
 
 from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
-from zlq.admissibility import ScratchBoard
+from zlq import exact
+from zlq.admissibility import CandidateSlices, OwnRuleState, ScratchBoard
 from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify, counting_summary
 from zlq.exact import (
+    _transpose,
     apply_vertex_permutation,
     candidate_orbits,
     clique_cover,
@@ -202,6 +204,112 @@ def test_conflicts_are_the_kernel_loop_on_random_rows(q, mode):
                 if j != i and _kernel_pair(board, coords, nondeg, placed, i, j)
             )
             assert masks[i] == row, (base, i)
+
+
+def _transpose_by_bits(rows):
+    """The per-bit transpose: bit j of row i becomes bit i of column j."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return columns
+
+
+class _TickingClock:
+    """A stand-in for the ``time`` module whose clock advances by 1 per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.6, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+def test_transpose_is_the_per_bit_loop(n, density, monkeypatch):
+    rng = random.Random(1000 * n + int(100 * density))
+    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+    before = list(rows)
+    truth = _transpose_by_bits(rows)
+    assert _transpose(rows, None) == truth
+    assert rows == before
+    # past the deadline no block is built: every column is a subset of the true one
+    assert _transpose(rows, time.monotonic() - 1.0) == [0] * n
+    # a deadline between the second and the third block's check cuts after two blocks
+    monkeypatch.setattr(exact, "time", _TickingClock())
+    cut = _transpose(rows, 2.5)
+    assert cut[:128] == truth[:128] and cut[128:] == [0] * max(0, n - 128)
+    assert all(c & ~t == 0 for c, t in zip(cut, truth))
+    assert rows == before
+
+
+def _closed_by_bits(board, coords, nondeg, placed):
+    """The conflict rows closed bit by bit, and over a base re-checked with the full kernel."""
+    n = len(coords)
+    state = OwnRuleState(CandidateSlices(len(board.row_masks) - 1, coords), board)
+    masks = []
+    for i in range(n):
+        state.place(*coords[i])
+        masks.append(state.dead & ~(1 << i))
+        state.undo()
+    for i, row in enumerate(list(masks)):  # j breaking i is bit j of row i too
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    for i in range(n) if placed else ():
+        board.place(*coords[i])
+        unjudged = ((1 << n) - 1) & ~masks[i] & ~((2 << i) - 1)
+        while unjudged:
+            low = unjudged & -unjudged
+            j = low.bit_length() - 1
+            unjudged ^= low
+            if not board.insertion_ok(coords[j], nondeg[j], placed):
+                masks[i] |= low
+                masks[j] |= 1 << i
+        board.unplace(*coords[i])
+    return masks
+
+
+def _static_order_by_bits(masks):
+    """The masks renumbered bit by bit into the static order, most conflicts first."""
+    perm = sorted(range(len(masks)), key=lambda k: -masks[k].bit_count())
+    pos_of = sorted(range(len(perm)), key=perm.__getitem__)
+    renumbered = [0] * len(perm)
+    for p, k in enumerate(perm):
+        mask = masks[k]
+        while mask:
+            low = mask & -mask
+            renumbered[p] |= 1 << pos_of[low.bit_length() - 1]
+            mask ^= low
+    return renumbered
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [4, 5])
+def test_the_tree_gets_the_per_bit_static_order_masks(q, mode, monkeypatch):
+    # the masks the tree's clique cover reads, over the empty base and a random one
+    rng = random.Random(19 * q + len(mode))
+    seen = []
+    real_cover = exact.clique_cover
+
+    def cover(remaining, conflicts, limit):
+        seen.append(conflicts)
+        return real_cover(remaining, conflicts, limit)
+
+    monkeypatch.setattr(exact, "clique_cover", cover)
+    for base in _bases(rng, q, 1):
+        board, placed = ScratchBoard.over(q, base)
+        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
+        closed = _closed_by_bits(board, coords, nondeg, placed)
+        assert pairwise_conflicts(board, coords, nondeg, placed) == closed, base
+        seen.clear()
+        solve_extension(Family.from_edges(q, base), candidate_family(q, mode), node_limit=1)
+        assert seen and seen[0] == _static_order_by_bits(closed), base
 
 
 def _max_family(q, edges, masks, subset):
