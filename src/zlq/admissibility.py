@@ -22,34 +22,35 @@ pattern is a multiset.  ``verify`` is one loop over one occupancy view, the
 family's ``cell_claims``: a cell is occupied when it is a 1-edge cell (the
 column lies in the row pair) or some edge claims it.
 
-The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path used by
-search and the exact solver.  It tracks occupancy in two redundant bitset
-views, per-row column masks and per-column row masks, so the five-cell scan
-reduces to three mask intersections; tests compare it exhaustively with the
+The insertion kernel ``ScratchBoard.insertion_ok`` is the fast path for
+one candidate.  It tracks occupancy in two redundant bitset views, per-row
+column masks and per-column row masks, so the five-cell scan reduces to
+three mask intersections; tests compare it exhaustively with the
 definition.  A candidate's own rules never involve its own two cells, so
 they are checked before it is placed, and only the re-check of the edges
-already on the board (``ScratchBoard.recheck_ok``, which the exact solver
-calls alone) needs the new cells.  ``ScratchBoard.first_fit`` is
-the batched form of the kernel: greedy first-fit over a candidate order,
-shared by the search fills and the exact solver's seed.  Every kernel
-board is built one way: ``ScratchBoard.over`` places a base family and
-``ScratchBoard.fitting`` keeps the candidates that fit it.
+already on the board (``ScratchBoard.recheck_ok``) needs the new cells.
+``ScratchBoard.first_fit`` is the batched form of the kernel: greedy
+first-fit over a candidate order, shared by the search fills and the exact
+solver's seed.  Every kernel board is built one way, by
+``ScratchBoard.over``, which places a base family.
 
 ``CandidateSlices`` is the bit-sliced view of a candidate table: one
 bitmask over candidate indices per row and per column, for each half.
 ``OwnRuleState`` holds the mask of the candidates whose own rules fail on
 a board, and keeps it up to date as edges are placed and undone;
 ``CandidateSlices.own_ok``, its complement on one board, equals
-``insertion_ok`` with nothing placed, by tested contract.  The search
-filters each fill's order through ``own_ok``, so the kernel sees only the
-candidates whose own rules hold on the fill's starting board, and the
-exact solver forward-checks its tree and builds its conflict rows with the
-state.
+``insertion_ok`` with nothing placed, by tested contract.  It is the one
+judge of own rules over a whole table: ``ScratchBoard.fitting`` (the
+static prune, or the fit against a frozen base) is one ``own_ok`` mask
+plus ``recheck_ok`` on each survivor, the search filters each fill's
+order through it, and the exact solver forward-checks its tree and builds
+its conflict rows with the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -66,6 +67,8 @@ from .board import (
     validate_cell,
 )
 from .families import Family
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _format_cell(cell: Cell) -> str:
@@ -276,19 +279,18 @@ class ScratchBoard:
         candidates: Iterable[TwoEdge],
         placed: list[tuple[int, int, int, int, bool]],
     ) -> tuple[list[TwoEdge], list[tuple[int, int, int, int]], list[bool]]:
-        """The candidates ``insertion_ok`` accepts against ``placed``, in order.
+        """The candidates that fit against ``placed``, each judged alone, in order.
 
-        Returns their edges, coords and nondegeneracy flags.  Each candidate
-        is judged alone, so on an empty board this is the static prune.
+        One ``own_ok`` mask judges their own rules, then ``recheck_ok`` the
+        placed edges for each survivor.  Returns the kept edges, coords and
+        nondegeneracy flags; on an empty board, the static prune.
         """
-        edges, coords, nondeg = [], [], []
-        for e in candidates:
-            ce, nd = self.coords(e), classify(e) == NONDEGENERATE
-            if self.insertion_ok(ce, nd, placed):
-                edges.append(e)
-                coords.append(ce)
-                nondeg.append(nd)
-        return edges, coords, nondeg
+        candidates = list(candidates)
+        coords = [self.coords(e) for e in candidates]
+        own = CandidateSlices(len(self.row_masks) - 1, coords).own_ok(self)
+        kept = [k for k in _set_bits(own) if not placed or self.recheck_ok(coords[k], placed)]
+        edges = [candidates[k] for k in kept]
+        return edges, [coords[k] for k in kept], [classify(e) == NONDEGENERATE for e in edges]
 
     def first_fit(
         self,
@@ -313,6 +315,12 @@ class ScratchBoard:
                 placed.append((*ck, nondeg[k]))
                 accepted.append(k)
         return accepted
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    digits = format(mask, "b")[::-1].encode().translate(_BINARY_DIGITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def _slices(coords: Sequence[tuple[int, ...]], part: int, size: int) -> list[int]:

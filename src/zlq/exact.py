@@ -138,7 +138,8 @@ def clique_cover(remaining: int, conflicts: list[int], limit: int) -> int:
     Each clique starts at the lowest uncovered candidate and grows by the
     lowest one that conflicts with every member so far.  A family takes at
     most one candidate per clique, so the count bounds every family drawn
-    from ``remaining``.  Counting stops once it passes ``limit``.
+    from ``remaining``.  Counting stops once it passes ``limit``.  No row
+    may hold its own bit, or a clique never stops growing.
     """
     count = 0
     while remaining and count <= limit:
@@ -182,19 +183,18 @@ def _transpose(rows: list[int], deadline: float | None) -> list[int]:
 def pairwise_conflicts(
     board: ScratchBoard,
     coords: list[tuple[int, int, int, int]],
-    nondeg: list[bool],
     placed: list[tuple[int, int, int, int, bool]],
     deadline: float | None = None,
 ) -> list[int]:
     """Bitmask per candidate of the candidates it can never coexist with.
 
-    Candidates are given by ``coords`` and ``nondeg`` on ``board``, whose
-    edges ``placed`` describes, and their cells must be free there.
-    Conflict means the two candidates on top of ``placed`` already fail: a
-    shared cell, an opposite-corner pattern completed between the two, or
-    a two-edge five-cell pattern.  The relation is sound but not complete;
-    larger clashes surface in the incremental checks of the search itself.
-    The board is left as it was found.
+    Candidates are given by ``coords`` on ``board``, whose edges ``placed``
+    describes, and their cells must be free there.  Conflict means the two
+    candidates on top of ``placed`` already fail: a shared cell, an
+    opposite-corner pattern completed between the two, or a two-edge
+    five-cell pattern.  The relation is sound but not complete; larger
+    clashes surface in the incremental checks of the search itself.  The
+    board is left as it was found.
 
     Row i starts as the candidates whose own rules fail once i is placed,
     one ``OwnRuleState`` update each, and the rows are then closed
@@ -277,7 +277,7 @@ def _solve(
     edges, coords, nondeg = scratch.fitting(candidates, base_placed)
     pruned_static = len(candidates) - len(edges)
 
-    conflicts = pairwise_conflicts(scratch, coords, nondeg, base_placed, deadline)
+    conflicts = pairwise_conflicts(scratch, coords, base_placed, deadline)
     # past the deadline the tree never starts, so the relation needs no order;
     # a renumbering the deadline cuts short is partial, and the tree skipped too
     late = deadline is not None and time.monotonic() > deadline

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Callable
 
 from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
 )
 from .families import Family
-from .admissibility import CandidateSlices, ScratchBoard, verify
+from .admissibility import CandidateSlices, ScratchBoard, _set_bits, verify
 from .rng import SplitMix64, derive_stream
 
 Progress = Callable[[str], None]
-
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 # delete-and-repair passes per restart, and pairs tried per pass when
 # ``delete_width`` is 2
@@ -120,12 +118,6 @@ class _Candidates:
         survivors = _set_bits(self.slices.own_ok(board))
         stream.shuffle(survivors)
         return board.first_fit(survivors, self.coords, self.nondeg, placed)
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    digits = format(mask, "b")[::-1].encode().translate(_BINARY_DIGITS)
-    return list(compress(range(len(digits)), digits))
 
 
 def _expired(deadline: float | None) -> bool:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 
-from zlq import Family, available_cells, candidate_family, make_edge, verify
+from zlq import Family, available_cells, candidate_family, classify, make_edge, verify
+from zlq.board import NONDEGENERATE
 from zlq.families import serialize_family
 
 
@@ -44,6 +45,22 @@ def random_family(rng: random.Random, q: int, max_size: int) -> Family:
     while len(edges) < size:
         edges.add(random_edge(rng, q))
     return Family.from_edges(q, edges)
+
+
+def kernel_fitting(board, candidates, placed):
+    """The candidates ``board.insertion_ok`` accepts against ``placed``, each judged alone.
+
+    The per-candidate kernel loop that ``ScratchBoard.fitting`` must equal:
+    the kept edges, coords and nondegeneracy flags, in candidate order.
+    """
+    edges, coords, nondeg = [], [], []
+    for e in candidates:
+        ce, nd = board.coords(e), classify(e) == NONDEGENERATE
+        if board.insertion_ok(ce, nd, placed):
+            edges.append(e)
+            coords.append(ce)
+            nondeg.append(nd)
+    return edges, coords, nondeg
 
 
 def family_sha256(family: Family) -> str:

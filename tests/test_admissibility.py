@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from zlq.families import parse_family
 from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.rng import derive_stream
 
-from conftest import S_C2_C3_FAMILY, S_C2_C3_REPORT, random_edge, random_subfamily
+from conftest import (
+    S_C2_C3_FAMILY, S_C2_C3_REPORT, kernel_fitting, random_edge, random_subfamily,
+)
 
 Q3_REFERENCE = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((1, 3, 2), (2, 3, 0))])
 
@@ -290,8 +293,8 @@ def test_s_violations_are_the_shared_claims():
 
 def test_over_and_fitting_keep_what_verifies_with_the_base():
     rng = random.Random(83)
-    for q in (3, 4):
-        cands = candidate_family(q, "full")
+    for q, mode in itertools.product((3, 4), ("full", "nondeg")):
+        cands = candidate_family(q, mode)
         for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
             scratch, placed = ScratchBoard.over(q, base.edges)
             assert placed == [scratch.placed_entry(g) for g in base.edges]
@@ -540,12 +543,52 @@ def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
         before = _board_state(board)
         assert slices.own_ok(board) == _kernel_mask(board, coords, nondeg)
         assert _board_state(board) == before
-    # on the empty board the mask is the static prune
-    kept = set(ScratchBoard(q).fitting(pool, [])[0])
+    # on the empty board the mask is the static prune, as the kernel loop keeps it
+    kept = set(kernel_fitting(ScratchBoard(q), pool, [])[0])
     static = sum(1 << k for k, e in enumerate(pool) if e in kept)
     assert slices.own_ok(boards[0]) == static
     if q >= 3:
         assert 0 < static < slices.everything == (1 << len(pool)) - 1
+
+
+def _admissible_families(q, mode):
+    """Every admissible family of ``mode`` candidates on the q-board, as edge lists."""
+    cands = candidate_family(q, mode)
+    families, stack = [], [([], 0)]
+    while stack:
+        family, start = stack.pop()
+        families.append(family)
+        for k in range(start, len(cands)):
+            if verify(Family.from_edges(q, family + [cands[k]])).ok:
+                stack.append((family + [cands[k]], k + 1))
+    return families
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q, rounds", [(3, None), (4, 30), (5, 4), (6, 2)])
+def test_fitting_is_the_kernel_loop(q, mode, rounds):
+    # the whole candidate table, statically infeasible candidates included,
+    # over every admissible base at q=3 and over the empty base and random
+    # bases above; a shuffled table keeps its own order
+    rng = random.Random(101 * q + len(mode))
+    cands = candidate_family(q, mode)
+    if rounds is None:
+        bases = _admissible_families(q, mode)
+    else:
+        bases = _random_families(rng, q, rounds) + [
+            list(random_subfamily(rng, reference_family(q)).edges) for _ in range(rounds)
+        ]
+    assert [] in bases and len(bases) > 4
+    sizes = set()
+    for base in bases:
+        board, placed = ScratchBoard.over(q, base)
+        before = _board_state(board), list(placed)
+        for table in (cands, rng.sample(cands, len(cands))):
+            fit = board.fitting(iter(table), placed)
+            assert fit == kernel_fitting(board, table, placed), base
+            assert (_board_state(board), placed) == before
+            sizes.add(len(fit[0]))
+    assert 0 in sizes and len(sizes) > 2  # maximal bases keep nothing, others keep some
 
 
 @pytest.mark.parametrize("mode", ["full", "nondeg"])

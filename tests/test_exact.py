@@ -10,7 +10,7 @@ import pytest
 from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
 from zlq import exact
 from zlq.admissibility import CandidateSlices, OwnRuleState, ScratchBoard
-from zlq.board import NONDEGENERATE, BoardError, candidate_family, classify, counting_summary
+from zlq.board import BoardError, candidate_family, counting_summary
 from zlq.exact import (
     _transpose,
     apply_vertex_permutation,
@@ -105,8 +105,7 @@ def test_conflicts_agree_with_pair_verification():
     cands = candidate_family(3, "full")
     board = ScratchBoard(3)
     coords = [board.coords(e) for e in cands]
-    nondeg = [classify(e) == NONDEGENERATE for e in cands]
-    masks = pairwise_conflicts(board, coords, nondeg, [])
+    masks = pairwise_conflicts(board, coords, [])
     # the reference family's two edges do not conflict
     i = cands.index(((0, 1, 2), (0, 3, 1)))
     j = cands.index(((1, 3, 2), (2, 3, 0)))
@@ -131,9 +130,9 @@ def test_conflicts_over_a_base_agree_with_verification():
             if e not in base.edges and verify(Family.from_edges(q, list(base.edges) + [e])).ok
         ]
         board, placed = ScratchBoard.over(q, base.edges)
-        edges, coords, nondeg = board.fitting(fits, placed)
+        edges, coords, _ = board.fitting(fits, placed)
         assert edges == fits
-        masks = pairwise_conflicts(board, coords, nondeg, placed)
+        masks = pairwise_conflicts(board, coords, placed)
         pairs = list(itertools.combinations(range(len(fits)), 2))
         for a, b in pairs if q == 3 else rng.sample(pairs, 1500):
             together = verify(Family.from_edges(q, list(base.edges) + [fits[a], fits[b]])).ok
@@ -144,13 +143,13 @@ def test_conflicts_over_a_base_agree_with_verification():
 @pytest.mark.parametrize("base_size", [0, 2])
 def test_conflicts_leave_the_board_as_found(base_size):
     board, placed = ScratchBoard.over(4, reference_family(4).edges[:base_size])
-    _, coords, nondeg = board.fitting(candidate_family(4, "full"), placed)
+    _, coords, _ = board.fitting(candidate_family(4, "full"), placed)
     state = (list(board.col_masks), list(board.row_masks), list(placed))
-    masks = pairwise_conflicts(board, coords, nondeg, placed)
+    masks = pairwise_conflicts(board, coords, placed)
     assert any(masks)
     assert (board.col_masks, board.row_masks, placed) == state
     # a deadline already past fills no row: the empty relation is sound
-    stale = pairwise_conflicts(board, coords, nondeg, placed, time.monotonic() - 1.0)
+    stale = pairwise_conflicts(board, coords, placed, time.monotonic() - 1.0)
     assert stale == [0] * len(coords)
     assert (board.col_masks, board.row_masks, placed) == state
 
@@ -187,7 +186,7 @@ def test_conflicts_are_the_kernel_loop_exhaustively(q, mode):
         board, placed = ScratchBoard.over(q, base)
         _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
         expected = _kernel_conflicts(board, coords, nondeg, placed)
-        assert pairwise_conflicts(board, coords, nondeg, placed) == expected, base
+        assert pairwise_conflicts(board, coords, placed) == expected, base
 
 
 @pytest.mark.parametrize("mode", ["full", "nondeg"])
@@ -197,7 +196,7 @@ def test_conflicts_are_the_kernel_loop_on_random_rows(q, mode):
     for base in _bases(rng, q, 1):
         board, placed = ScratchBoard.over(q, base)
         _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
-        masks = pairwise_conflicts(board, coords, nondeg, placed)
+        masks = pairwise_conflicts(board, coords, placed)
         for i in rng.sample(range(len(coords)), 3):
             row = sum(
                 1 << j for j in range(len(coords))
@@ -306,10 +305,12 @@ def test_the_tree_gets_the_per_bit_static_order_masks(q, mode, monkeypatch):
         board, placed = ScratchBoard.over(q, base)
         _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
         closed = _closed_by_bits(board, coords, nondeg, placed)
-        assert pairwise_conflicts(board, coords, nondeg, placed) == closed, base
+        assert pairwise_conflicts(board, coords, placed) == closed, base
         seen.clear()
         solve_extension(Family.from_edges(q, base), candidate_family(q, mode), node_limit=1)
         assert seen and seen[0] == _static_order_by_bits(closed), base
+        # clique_cover never ends on a row that holds its own bit
+        assert not any((row >> k) & 1 for masks in seen for k, row in enumerate(masks)), base
 
 
 def _max_family(q, edges, masks, subset):
@@ -334,8 +335,8 @@ def _max_family(q, edges, masks, subset):
 def test_the_clique_cover_never_undercuts_the_best_family(q, mode):
     rng = random.Random(17 * q + len(mode))
     board, placed = ScratchBoard.over(q, [])
-    edges, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
-    masks = pairwise_conflicts(board, coords, nondeg, placed)
+    edges, coords, _ = board.fitting(candidate_family(q, mode), placed)
+    masks = pairwise_conflicts(board, coords, placed)
     for _ in range(60):
         subset = sum(1 << k for k in rng.sample(range(len(edges)), rng.randint(1, 14)))
         cover = clique_cover(subset, masks, subset.bit_count())

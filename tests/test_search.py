@@ -22,7 +22,7 @@ from zlq.fixtures import reference_family
 from zlq.lifting import embed
 from zlq.rng import SplitMix64, derive_stream, mix64
 
-from conftest import family_sha256
+from conftest import family_sha256, kernel_fitting
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -326,7 +326,7 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
 def test_the_static_prune_mask_keeps_the_kernel_table(q):
     # the table is the whole candidate family in family order, with no
     # prune of its own; the first own-rule mask on the empty board keeps
-    # what the kernel's static prune keeps, in table order
+    # what the kernel loop keeps, in table order
     lookup = ScratchBoard(q)
     for mode in ("full", "nondeg"):
         cands = zlq.search._Candidates(q, mode)
@@ -334,7 +334,7 @@ def test_the_static_prune_mask_keeps_the_kernel_table(q):
         assert cands.coords == [lookup.coords(e) for e in cands.edges]
         assert cands.nondeg == [classify(e) == NONDEGENERATE for e in cands.edges]
         kept = zlq.search._set_bits(cands.slices.own_ok(lookup))
-        edges, coords, nondeg = lookup.fitting(cands.edges, [])
+        edges, coords, nondeg = kernel_fitting(lookup, cands.edges, [])
         assert [cands.edges[k] for k in kept] == edges
         assert [cands.coords[k] for k in kept] == coords
         assert [cands.nondeg[k] for k in kept] == nondeg
