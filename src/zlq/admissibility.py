@@ -34,11 +34,13 @@ first-fit over a candidate order, shared by the search fills and the exact
 solver's seed.  Every kernel board is built one way, by
 ``ScratchBoard.over``, which places a base family.
 
-``CandidateSlices`` is the bit-sliced view of a candidate table: one
-bitmask over candidate indices per row and per column, for each half.
+``CandidateTable`` is the one layout of a candidate list on a board: the
+edges, their coords and nondegeneracy flags (worked out from the coords),
+and the bit slices, one bitmask over candidate indices per row and per
+column, for each half.  ``take`` lays out a sub-table in a given order.
 ``OwnRuleState`` holds the mask of the candidates whose own rules fail on
 a board, and keeps it up to date as edges are placed and undone;
-``CandidateSlices.own_ok``, its complement on one board, equals
+``CandidateTable.own_ok``, its complement on one board, equals
 ``insertion_ok`` with nothing placed, by tested contract.  It is the one
 judge of own rules over a whole table: ``ScratchBoard.fitting`` (the
 static prune, or the fit against a frozen base) is one ``own_ok`` mask
@@ -178,19 +180,17 @@ class ScratchBoard:
     ) -> tuple[ScratchBoard, list[tuple[int, int, int, int, bool]]]:
         """A board with ``edges`` placed, and the ``placed`` list that describes them."""
         board = cls(q)
-        placed = [board.placed_entry(e) for e in edges]
-        for entry in placed:
-            board.place(*entry[:4])
+        placed = []
+        for e in edges:
+            r1, c1, r2, c2 = coords = board.coords(e)
+            board.place(*coords)
+            placed.append((*coords, r1 != r2 and c1 != c2))
         return board, placed
 
     def coords(self, edge: TwoEdge) -> tuple[int, int, int, int]:
         """(row index, column) pairs of the two halves."""
         (i1, j1, c1), (i2, j2, c2) = edge
         return self.rowidx[(i1, j1)], c1, self.rowidx[(i2, j2)], c2
-
-    def placed_entry(self, edge: TwoEdge) -> tuple[int, int, int, int, bool]:
-        """The record ``insertion_ok`` expects in ``placed``: coords and nondegeneracy."""
-        return (*self.coords(edge), classify(edge) == NONDEGENERATE)
 
     def cells_free(self, r1: int, c1: int, r2: int, c2: int) -> bool:
         return not ((self.col_masks[r1] >> c1) & 1 or (self.col_masks[r2] >> c2) & 1)
@@ -278,35 +278,33 @@ class ScratchBoard:
         self,
         candidates: Iterable[TwoEdge],
         placed: list[tuple[int, int, int, int, bool]],
-    ) -> tuple[list[TwoEdge], list[tuple[int, int, int, int]], list[bool]]:
+    ) -> CandidateTable:
         """The candidates that fit against ``placed``, each judged alone, in order.
 
         One ``own_ok`` mask judges their own rules, then ``recheck_ok`` the
-        placed edges for each survivor.  Returns the kept edges, coords and
-        nondegeneracy flags; on an empty board, the static prune.
+        placed edges for each survivor.  Returns the kept candidates as a
+        table; on an empty board, the static prune.
         """
-        candidates = list(candidates)
-        coords = [self.coords(e) for e in candidates]
-        own = CandidateSlices(len(self.row_masks) - 1, coords).own_ok(self)
-        kept = [k for k in _set_bits(own) if not placed or self.recheck_ok(coords[k], placed)]
-        edges = [candidates[k] for k in kept]
-        return edges, [coords[k] for k in kept], [classify(e) == NONDEGENERATE for e in edges]
+        table = CandidateTable(len(self.row_masks) - 1, candidates)
+        coords = table.coords
+        own = _set_bits(table.own_ok(self))
+        return table.take([k for k in own if not placed or self.recheck_ok(coords[k], placed)])
 
     def first_fit(
         self,
         order: Iterable[int],
-        coords: Sequence[tuple[int, int, int, int]],
-        nondeg: Sequence[bool],
+        table: CandidateTable,
         placed: list[tuple[int, int, int, int, bool]],
     ) -> list[int]:
         """Greedy first-fit: place every candidate in ``order`` that ``insertion_ok`` accepts.
 
-        ``coords`` and ``nondeg`` are indexed by candidate; ``placed`` must
-        describe the edges already on the board and grows by each accepted
+        ``order`` holds indices into ``table``; ``placed`` must describe
+        the edges already on the board and grows by each accepted
         candidate, which stays placed.  Returns the accepted indices in
         order.
         """
         insertion_ok = self.insertion_ok
+        coords, nondeg = table.coords, table.nondeg
         accepted = []
         for k in order:
             ck = coords[k]
@@ -351,25 +349,43 @@ def _unions(lines: list[int], first: list[int], second: list[int]) -> tuple[list
     return out_first, out_second
 
 
-class CandidateSlices:
-    """A candidate table cut into bitmasks over candidate indices.
+class CandidateTable:
+    """A candidate list laid out on one q-board, in list order.
 
-    Bit k of ``row1[x]`` (``row2[x]``) is set when candidate k's first
-    (second) half lies in row index x, and bit k of ``col1[y]``
-    (``col2[y]``) when it lies in column y.  ``own_ok`` judges every
-    candidate's own rules on one board at once, in a few hundred mask
-    operations.
+    ``coords[k]`` holds candidate k's (row index, column) pairs and
+    ``nondeg[k]`` whether its halves differ in both row and column.  Bit k
+    of ``row1[x]`` (``row2[x]``) is set when candidate k's first (second)
+    half lies in row index x, and bit k of ``col1[y]`` (``col2[y]``) when
+    it lies in column y; ``everything`` has a bit per candidate.
+    ``own_ok`` judges every candidate's own rules on one board at once, in
+    a few hundred mask operations.
     """
 
-    __slots__ = ("row1", "row2", "col1", "col2", "everything")
+    __slots__ = ("edges", "coords", "nondeg", "row1", "row2", "col1", "col2", "everything")
 
-    def __init__(self, q: int, coords: Sequence[tuple[int, int, int, int]]):
-        n_rows, n_cols = len(rows(q)), q + 1
+    def __init__(self, q: int, edges: Iterable[TwoEdge]):
+        board = ScratchBoard(q)
+        self.edges = list(edges)
+        self.coords = list(map(board.coords, self.edges))
+        self._slice(len(board.col_masks), len(board.row_masks))
+
+    def _slice(self, n_rows: int, n_cols: int) -> None:
+        """Work out ``nondeg``, the slices and ``everything`` from ``coords``."""
+        coords = self.coords
+        self.nondeg = [r1 != r2 and c1 != c2 for r1, c1, r2, c2 in coords]
         self.row1, self.col1, self.row2, self.col2 = (
             _slices(coords, part, size)
             for part, size in enumerate((n_rows, n_cols, n_rows, n_cols))
         )
         self.everything = (1 << len(coords)) - 1
+
+    def take(self, indices: Sequence[int]) -> CandidateTable:
+        """The table of the candidates at ``indices``, in that order."""
+        table = object.__new__(CandidateTable)
+        table.edges = [self.edges[k] for k in indices]
+        table.coords = [self.coords[k] for k in indices]
+        table._slice(len(self.row1), len(self.col1))
+        return table
 
     def own_ok(self, board: ScratchBoard) -> int:
         """The mask of the candidates whose own rules hold on ``board``.
@@ -384,7 +400,7 @@ class CandidateSlices:
 class OwnRuleState:
     """The candidates whose own rules fail on a board, kept up to date edge by edge.
 
-    Built from a ``CandidateSlices`` table and a board, it keeps per row
+    Built from a ``CandidateTable`` and a board, it keeps per row
     index x the candidates whose first (second) column is occupied in x
     (``in_row1``, ``in_row2``), per column y the candidates whose first
     (second) row is occupied in y (``in_col1``, ``in_col2``), and one mask
@@ -404,18 +420,18 @@ class OwnRuleState:
     """
 
     __slots__ = (
-        "slices", "board", "in_row1", "in_row2", "in_col1", "in_col2",
+        "table", "board", "in_row1", "in_row2", "in_col1", "in_col2",
         "taken", "corner1", "corner2", "five", "saved",
     )
 
-    def __init__(self, slices: CandidateSlices, board: ScratchBoard):
-        self.slices = slices
+    def __init__(self, table: CandidateTable, board: ScratchBoard):
+        self.table = table
         self.board = board
-        col1, col2 = slices.col1, slices.col2
+        col1, col2 = table.col1, table.col2
         # per row x: candidates whose first / second column is occupied in row x
         self.in_row1, self.in_row2 = _unions(board.col_masks, col1, col2)
         # per column y: candidates whose first / second row is occupied in column y
-        self.in_col1, self.in_col2 = _unions(board.row_masks, slices.row1, slices.row2)
+        self.in_col1, self.in_col2 = _unions(board.row_masks, table.row1, table.row2)
         both_in_row = [a & b for a, b in zip(self.in_row1, self.in_row2)]
         taken = corner1 = corner2 = five = 0
         for y, xs in enumerate(board.row_masks):
@@ -461,9 +477,9 @@ class OwnRuleState:
         from the occupied cells of column c (their rows x against column c)
         and of row r (row r against their columns y).
         """
-        slices = self.slices
+        table = self.table
         in_row1, in_row2, in_col1, in_col2 = self.in_row1, self.in_row2, self.in_col1, self.in_col2
-        col1, col2, row1, row2 = slices.col1[c], slices.col2[c], slices.row1[r], slices.row2[r]
+        col1, col2, row1, row2 = table.col1[c], table.col2[c], table.row1[r], table.row2[r]
         in_row1[r] |= col1
         in_row2[r] |= col2
         in_col1[c] |= row1
@@ -563,7 +579,8 @@ def incremental_check(family: Family, edge: TwoEdge) -> bool:
     if any(len(claimants) > 1 for claimants in claims.values()):
         return False
     scratch, placed = ScratchBoard.over(family.q, family.edges)
-    return scratch.insertion_ok(scratch.coords(edge), classify(edge) == NONDEGENERATE, placed)
+    r1, c1, r2, c2 = coords = scratch.coords(edge)
+    return scratch.insertion_ok(coords, r1 != r2 and c1 != c2, placed)
 
 
 def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:
@@ -573,5 +590,5 @@ def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:
     background can never appear in an admissible family (admissibility is
     hereditary), so solvers drop such candidates up front.
     """
-    kept = set(ScratchBoard(q).fitting(candidates, [])[0])
+    kept = set(ScratchBoard(q).fitting(candidates, []).edges)
     return [e not in kept for e in candidates]

@@ -33,15 +33,18 @@ their transpose; a second transpose renumbers them into the static order.
 
 One function, ``_solve``, is the whole branch and bound, and it serves
 both entry points: ``solve_exact`` runs it over an empty base,
-``solve_extension`` over a frozen, verified base family.  The candidate
-table is laid out once, on the search's board, and kept in the static
-order.  The tree is one loop over an explicit stack of (chosen candidate,
-untried candidates) pairs.  A first-fit pass over the static order, on a
-second board, seeds the incumbent, and only a strictly larger family
-replaces it, so the certificate is the first maximum family the
-enumeration meets and the same call always returns it.  Every bound cuts
-only subtrees that cannot beat the incumbent strictly, so the bounds
-change node counts but never the certificate of an exhausted tree.
+``solve_extension`` over a frozen, verified base family.  It lays out
+three ``CandidateTable``s, all on the search's one board: the whole list
+for the static prune, the kept list for the conflict pass, and the kept
+list in the static order for the tree.  The static order depends on the
+conflict rows, so the third table cannot be built first.  The tree is one
+loop over an explicit stack of (chosen candidate, untried candidates)
+pairs.  A first-fit pass over the static order, on a second board, seeds
+the incumbent, and only a strictly larger family replaces it, so the
+certificate is the first maximum family the enumeration meets and the same
+call always returns it.  Every bound cuts only subtrees that cannot beat
+the incumbent strictly, so the bounds change node counts but never the
+certificate of an exhausted tree.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .board import (
     make_edge,
 )
 from .families import Family
-from .admissibility import CandidateSlices, OwnRuleState, ScratchBoard, verify
+from .admissibility import CandidateTable, OwnRuleState, ScratchBoard, verify
 
 OPTIMAL = "optimal"
 INCUMBENT = "incumbent"
@@ -182,19 +185,19 @@ def _transpose(rows: list[int], deadline: float | None) -> list[int]:
 
 def pairwise_conflicts(
     board: ScratchBoard,
-    coords: list[tuple[int, int, int, int]],
+    table: CandidateTable,
     placed: list[tuple[int, int, int, int, bool]],
     deadline: float | None = None,
 ) -> list[int]:
     """Bitmask per candidate of the candidates it can never coexist with.
 
-    Candidates are given by ``coords`` on ``board``, whose edges ``placed``
-    describes, and their cells must be free there.  Conflict means the two
-    candidates on top of ``placed`` already fail: a shared cell, an
-    opposite-corner pattern completed between the two, or a two-edge
-    five-cell pattern.  The relation is sound but not complete; larger
-    clashes surface in the incremental checks of the search itself.  The
-    board is left as it was found.
+    Candidates are the rows of ``table`` on ``board``, whose edges
+    ``placed`` describes, and their cells must be free there.  Conflict
+    means the two candidates on top of ``placed`` already fail: a shared
+    cell, an opposite-corner pattern completed between the two, or a
+    two-edge five-cell pattern.  The relation is sound but not complete;
+    larger clashes surface in the incremental checks of the search itself.
+    The board is left as it was found.
 
     Row i starts as the candidates whose own rules fail once i is placed,
     one ``OwnRuleState`` update each, and the rows are then closed
@@ -208,8 +211,9 @@ def pairwise_conflicts(
     the rows come back as they stand: a partial relation is still sound,
     it only prunes less.
     """
+    coords = table.coords
     n = len(coords)
-    state = OwnRuleState(CandidateSlices(len(board.row_masks) - 1, coords), board)
+    state = OwnRuleState(table, board)
     masks = [0] * n
     for i in range(n):
         if deadline is not None and time.monotonic() > deadline:
@@ -221,7 +225,7 @@ def pairwise_conflicts(
     for i, column in enumerate(_transpose(masks, deadline)):
         masks[i] |= column
     if placed:
-        every = (1 << n) - 1
+        every = table.everything
         for i in range(n):
             if deadline is not None and time.monotonic() > deadline:
                 break
@@ -250,22 +254,24 @@ def _solve(
     """Maximum number of ``candidates`` that extend the verified ``base``.
 
     The one branch-and-bound core behind both public solvers.  The search's
-    board also serves the conflict pass; the incumbent seed gets a second.
-    The tree is one loop.  ``remaining`` holds the current level's untried
-    candidates; with ``size`` chosen, the level is cut when ``min(size +
-    |remaining|, cap)`` cannot beat the incumbent, ``cap`` being the
-    free-cell cap, fixed for the whole solve, and otherwise when ``size``
-    plus a greedy clique cover of ``remaining`` cannot.  A candidate that
-    fits is pushed with ``remaining`` and the loop descends to what is
-    compatible with it and still passes its own rules; an empty or cut
-    level pops back to its parent.  The ``done`` event counts the levels
-    each bound cut and the candidates forward checking removed.
-    Symmetry is sound only when the base is empty and the candidate list is
-    closed under vertex relabeling.  Budgets count from ``start`` and must be
-    non-negative; the reported node count never exceeds the node budget.
-    Past the deadline after the conflict pass, the static order is never
-    made and the tree never starts: the result is the seed, as an
-    incumbent.
+    board also serves the prune and the conflict pass; the incumbent seed
+    gets a second.  ``fitting`` returns the kept table, the conflict pass
+    reads its slices, and ``take`` permutes it into the static order, the
+    one table the seed and the tree use.  The tree is one loop.
+    ``remaining`` holds the current level's untried candidates; with
+    ``size`` chosen, the level is cut when ``min(size + |remaining|, cap)``
+    cannot beat the incumbent, ``cap`` being the free-cell cap, fixed for
+    the whole solve, and otherwise when ``size`` plus a greedy clique cover
+    of ``remaining`` cannot.  A candidate that fits is pushed with
+    ``remaining`` and the loop descends to what is compatible with it and
+    still passes its own rules; an empty or cut level pops back to its
+    parent.  The ``done`` event counts the levels each bound cut and the
+    candidates forward checking removed.  Symmetry is sound only when the
+    base is empty and the candidate list is closed under vertex relabeling.
+    Budgets count from ``start`` and must be non-negative; the reported
+    node count never exceeds the node budget.  Past the deadline after the
+    conflict pass, the static order is never made and the tree never
+    starts: the result is the seed, as an incumbent.
     """
     check_budget("node limit", node_limit)
     check_budget("time limit", time_limit)
@@ -274,26 +280,24 @@ def _solve(
     scratch, base_placed = ScratchBoard.over(q, base.edges)
     # a candidate that fails against the base alone never fits (hereditarity);
     # on an empty base this is the static prune
-    edges, coords, nondeg = scratch.fitting(candidates, base_placed)
-    pruned_static = len(candidates) - len(edges)
+    table = scratch.fitting(candidates, base_placed)
+    pruned_static = len(candidates) - len(table.edges)
 
-    conflicts = pairwise_conflicts(scratch, coords, base_placed, deadline)
+    conflicts = pairwise_conflicts(scratch, table, base_placed, deadline)
     # past the deadline the tree never starts, so the relation needs no order;
     # a renumbering the deadline cuts short is partial, and the tree skipped too
     late = deadline is not None and time.monotonic() > deadline
     if not late:
         # static order, most conflicts first; only the renumbered table and masks
         # stay.  The relation C is symmetric, so P C P^T is P (P C)^T.
-        perm = sorted(range(len(edges)), key=lambda k: -conflicts[k].bit_count())
-        edges = [edges[k] for k in perm]
-        coords = [coords[k] for k in perm]
-        nondeg = [nondeg[k] for k in perm]
+        perm = sorted(range(len(table.edges)), key=lambda k: -conflicts[k].bit_count())
+        table = table.take(perm)
         columns = _transpose([conflicts[k] for k in perm], deadline)
         conflicts = [columns[k] for k in perm]
         del perm, columns
         late = deadline is not None and time.monotonic() > deadline
 
-    every = (1 << len(edges)) - 1
+    edges, coords, nondeg, every = table.edges, table.coords, table.nondeg, table.everything
     orbit_count: int | None = None
     level0_mask = every  # the candidates the first level may branch on
     if symmetry and edges:
@@ -305,7 +309,7 @@ def _solve(
 
     # incumbent seed: first-fit over the static order, on a board of its own
     seed_board, seed_placed = ScratchBoard.over(q, base.edges)
-    best = tuple(seed_board.first_fit(range(len(edges)), coords, nondeg, seed_placed))
+    best = tuple(seed_board.first_fit(range(len(edges)), table, seed_placed))
     cap = counting_summary(q).available // 2 - len(base)  # each edge takes two free cells
     events: list[dict] = [
         {"event": "bound", "where": "root", "value": min(len(edges), cap), "incumbent": len(best)}
@@ -316,7 +320,7 @@ def _solve(
     placed = list(base_placed)
     stack: list[tuple[int, int]] = []  # per chosen candidate: it and its level's untried mask
     remaining, status = (0, INCUMBENT) if late else (every, OPTIMAL)
-    rules = OwnRuleState(CandidateSlices(q, coords), scratch) if remaining else None
+    rules = OwnRuleState(table, scratch) if remaining else None
     while True:
         if remaining:
             room = cutoff - size  # a better family needs more than this from remaining

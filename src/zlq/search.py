@@ -5,15 +5,12 @@ keeps the family admissible, then runs delete-and-repair improvement:
 remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
-index), so runs are bit-stable.  Each fill keeps the candidates whose own
-rules hold on its starting board (one ``CandidateSlices.own_ok`` mask),
-shuffles only those and first-fits them.  Heredity makes the drop exact,
-and a uniform shuffle of the whole table restricts to a uniform shuffle of
-the survivors, so each fill's result keeps its distribution.  It also
-makes a static prune needless: what fails the empty board fails every
-board.  ``run_search`` keeps one running best and returns from one place:
-the winner is re-checked by the full verifier, and a failure raises
-``RuntimeError``.
+index), so runs are bit-stable.  A run lays out one ``CandidateTable``,
+the whole candidate family with no static prune, and each fill first-fits
+a shuffle of its own-rule survivors (``fill`` in ``_one_restart`` says
+why heredity makes that exact).  ``run_search`` keeps one running best and
+returns from one place: the winner is re-checked by the full verifier, and
+a failure raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
 )
 from .families import Family
-from .admissibility import CandidateSlices, ScratchBoard, _set_bits, verify
-from .rng import SplitMix64, derive_stream
+from .admissibility import CandidateTable, ScratchBoard, _set_bits, verify
+from .rng import derive_stream
 
 Progress = Callable[[str], None]
 
@@ -88,45 +85,13 @@ class SearchResult:
     verified: bool
 
 
-class _Candidates:
-    """The whole candidate family for one search run, in family order.
-
-    Unpruned: by heredity, no fill keeps a candidate that fails the empty board.
-    """
-
-    __slots__ = ("edges", "coords", "nondeg", "slices")
-
-    def __init__(self, q: int, mode: Mode):
-        self.edges = candidate_family(q, mode)
-        empty = ScratchBoard(q)
-        self.coords = [empty.coords(e) for e in self.edges]
-        self.nondeg = [classify(e) == NONDEGENERATE for e in self.edges]
-        self.slices = CandidateSlices(q, self.coords)
-
-    def first_fit(
-        self, board: ScratchBoard, placed: list[tuple[int, int, int, int, bool]], stream: SplitMix64
-    ) -> list[int]:
-        """One fill: ``board.first_fit`` over a shuffle of the candidates whose own rules hold.
-
-        The survivors of ``board`` are shuffled once with ``stream``.  By
-        heredity this accepts what a first fit over the whole table would
-        in any order that restricts to this one: the board only gains
-        cells during the pass, so a candidate whose own rules fail on the
-        starting board fails on every later one.  And a uniform shuffle of
-        the whole table restricts to a uniform shuffle of the survivors.
-        """
-        survivors = _set_bits(self.slices.own_ok(board))
-        stream.shuffle(survivors)
-        return board.first_fit(survivors, self.coords, self.nondeg, placed)
-
-
 def _expired(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
 def _one_restart(
     config: SearchConfig,
-    cands: _Candidates,
+    table: CandidateTable,
     index: int,
     deadline: float | None,
 ) -> tuple[TwoEdge, ...]:
@@ -142,9 +107,20 @@ def _one_restart(
     stream = derive_stream(config.seed, index)
 
     def fill(kept: list[TwoEdge]) -> list[TwoEdge]:
+        """``kept`` plus a first fit over a shuffle of the table's own-rule survivors.
+
+        By heredity this accepts what a first fit over the whole table
+        would in any order that restricts to the shuffled one: the board
+        only gains cells during the pass, so a candidate whose own rules
+        fail on the starting board fails on every later one, the empty
+        board included, so the table needs no static prune.  And a uniform
+        shuffle of the whole table restricts to a uniform shuffle of the
+        survivors, so the fill's result keeps its distribution.
+        """
         board, placed = ScratchBoard.over(config.q, kept)
-        accepted = cands.first_fit(board, placed, stream)
-        return kept + [cands.edges[k] for k in accepted]
+        survivors = _set_bits(table.own_ok(board))
+        stream.shuffle(survivors)
+        return kept + [table.edges[k] for k in board.first_fit(survivors, table, placed)]
 
     def attempt(removals: list[TwoEdge]) -> bool:
         nonlocal family
@@ -196,11 +172,11 @@ def run_search(config: SearchConfig, progress: Progress | None = None) -> Search
     best_restart = -1
     restart_sizes: list[int] = []
     if config.restarts and not _expired(deadline):  # a spent budget builds no table
-        cands = _Candidates(config.q, config.mode)
+        table = CandidateTable(config.q, candidate_family(config.q, config.mode))
     for r in range(config.restarts):
         if _expired(deadline):
             break
-        edges = _one_restart(config, cands, r, deadline)
+        edges = _one_restart(config, table, r, deadline)
         restart_sizes.append(len(edges))
         if progress is not None:
             progress(f"restart {r}: size {len(edges)}")

@@ -63,6 +63,11 @@ def kernel_fitting(board, candidates, placed):
     return edges, coords, nondeg
 
 
+def table_fields(table) -> tuple:
+    """Every field of a ``CandidateTable``, in slot order, to compare tables whole."""
+    return tuple(getattr(table, name) for name in type(table).__slots__)
+
+
 def family_sha256(family: Family) -> str:
     """SHA-256 of a family's file form; pins a search path in one value."""
     return hashlib.sha256(serialize_family(family).encode()).hexdigest()

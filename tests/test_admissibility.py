@@ -13,7 +13,7 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import (
-    CandidateSlices,
+    CandidateTable,
     OwnRuleState,
     ScratchBoard,
     cell_claims,
@@ -28,7 +28,8 @@ from zlq.fixtures import REFERENCE_QS, reference_family
 from zlq.rng import derive_stream
 
 from conftest import (
-    S_C2_C3_FAMILY, S_C2_C3_REPORT, kernel_fitting, random_edge, random_subfamily,
+    S_C2_C3_FAMILY, S_C2_C3_REPORT, kernel_fitting, random_edge, random_family, random_subfamily,
+    table_fields,
 )
 
 Q3_REFERENCE = Family.from_edges(3, [((0, 1, 2), (0, 3, 1)), ((1, 3, 2), (2, 3, 0))])
@@ -297,14 +298,16 @@ def test_over_and_fitting_keep_what_verifies_with_the_base():
         cands = candidate_family(q, mode)
         for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
             scratch, placed = ScratchBoard.over(q, base.edges)
-            assert placed == [scratch.placed_entry(g) for g in base.edges]
-            edges, coords, nondeg = scratch.fitting(cands, placed)
+            assert placed == [
+                (*scratch.coords(g), classify(g) == NONDEGENERATE) for g in base.edges
+            ]
+            fit = scratch.fitting(cands, placed)
             expected = [
                 e for e in cands if verify(Family(q=q, edges=base.edges + (e,))).ok
             ]
-            assert edges == expected
-            assert coords == [scratch.coords(e) for e in edges]
-            assert nondeg == [classify(e) == NONDEGENERATE for e in edges]
+            assert fit.edges == expected
+            assert fit.coords == [scratch.coords(e) for e in fit.edges]
+            assert fit.nondeg == [classify(e) == NONDEGENERATE for e in fit.edges]
     # the solver's free-cell cap rests on this: each base edge takes two distinct free cells
     for q in (3, 4, 5, 6):
         for _ in range(5):
@@ -312,6 +315,12 @@ def test_over_and_fitting_keep_what_verifies_with_the_base():
             scratch, _ = ScratchBoard.over(q, base.edges)
             free = sum(q + 1 - mask.bit_count() for mask in scratch.col_masks)
             assert free == counting_summary(q).available - 2 * len(base)
+    # the placed records mark degenerate edges too (the reference families have none)
+    for q in (3, 4, 5):
+        for _ in range(20):
+            edges = random_family(rng, q, 8).edges
+            scratch, placed = ScratchBoard.over(q, edges)
+            assert placed == [(*scratch.coords(g), classify(g) == NONDEGENERATE) for g in edges]
 
 
 def test_scratch_board_roundtrip():
@@ -413,7 +422,7 @@ def _assert_first_fit_matches_loop(q, base, cands, order):
     nondeg = [classify(e) == NONDEGENERATE for e in cands]
     fast, fast_placed = ScratchBoard.over(q, base.edges)
     slow, slow_placed = ScratchBoard.over(q, base.edges)
-    accepted = fast.first_fit(order, coords, nondeg, fast_placed)
+    accepted = fast.first_fit(order, CandidateTable(q, cands), fast_placed)
     assert accepted == _first_fit_by_hand(slow, order, coords, nondeg, slow_placed)
     assert _board_state(fast) == _board_state(slow)
     assert fast_placed == slow_placed
@@ -449,9 +458,7 @@ def test_first_fit_matches_insertion_loop_large():
 def _first_fit_family(q, base, order):
     """``base`` plus what ``first_fit`` accepts from the 2-edges in ``order``."""
     scratch, placed = ScratchBoard.over(q, base.edges)
-    coords = [scratch.coords(e) for e in order]
-    nondeg = [classify(e) == NONDEGENERATE for e in order]
-    accepted = scratch.first_fit(range(len(order)), coords, nondeg, placed)
+    accepted = scratch.first_fit(range(len(order)), CandidateTable(q, order), placed)
     return Family.from_edges(q, list(base.edges) + [order[k] for k in accepted])
 
 
@@ -480,7 +487,7 @@ def test_an_optimal_family_admits_nothing():
         q = optimum.q
         cands = candidate_family(q, "full")
         scratch, placed = ScratchBoard.over(q, optimum.edges)
-        assert scratch.fitting(cands, placed) == ([], [], [])
+        assert table_fields(scratch.fitting(cands, placed)) == table_fields(CandidateTable(q, []))
         assert _first_fit_family(q, optimum, cands) == optimum
 
 
@@ -510,14 +517,12 @@ def _random_families(rng, q, rounds):
     """Empty, partial and maximal random admissible families, as edge lists."""
     families = [[]]
     cands = candidate_family(q, "full")
-    lookup = ScratchBoard(q)
-    coords = [lookup.coords(e) for e in cands]
-    nondeg = [classify(e) == NONDEGENERATE for e in cands]
+    table = CandidateTable(q, cands)
     for _ in range(rounds):
         order = list(range(len(cands)))
         rng.shuffle(order)
         board, placed = ScratchBoard.over(q, [])
-        maximal = [cands[k] for k in board.first_fit(order, coords, nondeg, placed)]
+        maximal = [cands[k] for k in board.first_fit(order, table, placed)]
         partial = rng.sample(maximal, rng.randint(1, len(maximal) - 1)) if len(maximal) > 1 else []
         families += [partial, maximal]
     return families
@@ -537,18 +542,52 @@ def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    slices = CandidateSlices(q, coords)
+    table = CandidateTable(q, pool)
     boards = _random_boards(rng, q, rounds)
     for board in boards:
         before = _board_state(board)
-        assert slices.own_ok(board) == _kernel_mask(board, coords, nondeg)
+        assert table.own_ok(board) == _kernel_mask(board, coords, nondeg)
         assert _board_state(board) == before
     # on the empty board the mask is the static prune, as the kernel loop keeps it
     kept = set(kernel_fitting(ScratchBoard(q), pool, [])[0])
     static = sum(1 << k for k, e in enumerate(pool) if e in kept)
-    assert slices.own_ok(boards[0]) == static
+    assert table.own_ok(boards[0]) == static
     if q >= 3:
-        assert 0 < static < slices.everything == (1 << len(pool)) - 1
+        assert 0 < static < table.everything == (1 << len(pool)) - 1
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", range(2, 8))
+def test_table_nondeg_is_classify(q, mode):
+    # nondegeneracy comes from the coords alone; coords are the board's
+    cands = candidate_family(q, mode)
+    table = CandidateTable(q, cands)
+    assert table.nondeg == [classify(e) == NONDEGENERATE for e in cands]
+    lookup = ScratchBoard(q)
+    assert table.coords == [lookup.coords(e) for e in cands]
+    assert table.edges == cands and table.everything == (1 << len(cands)) - 1
+    if mode == "full" and q >= 3:
+        assert set(table.nondeg) == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_take_is_a_fresh_table_over_the_taken_edges(q, mode):
+    rng = random.Random(107 * q + len(mode))
+    cands = candidate_family(q, mode)
+    table = CandidateTable(q, cands)
+    whole = range(len(cands))
+    picks = [[], list(whole), list(reversed(whole))]
+    picks += [rng.sample(whole, rng.randint(1, len(cands))) for _ in range(6)]
+    picks += [rng.choices(whole, k=rng.randint(1, 40)) for _ in range(2)]  # repeats too
+    for indices in picks:
+        taken = table.take(indices)
+        assert table_fields(taken) == table_fields(CandidateTable(q, [cands[k] for k in indices]))
+        # a sub-table of a sub-table takes the composed indices
+        inner = rng.sample(range(len(indices)), len(indices) // 2)
+        composed = table.take([indices[k] for k in inner])
+        assert table_fields(taken.take(inner)) == table_fields(composed)
+    assert table_fields(table) == table_fields(CandidateTable(q, cands))  # take leaves it alone
 
 
 def _admissible_families(q, mode):
@@ -585,9 +624,10 @@ def test_fitting_is_the_kernel_loop(q, mode, rounds):
         before = _board_state(board), list(placed)
         for table in (cands, rng.sample(cands, len(cands))):
             fit = board.fitting(iter(table), placed)
-            assert fit == kernel_fitting(board, table, placed), base
+            assert (fit.edges, fit.coords, fit.nondeg) == kernel_fitting(board, table, placed), base
+            assert table_fields(fit) == table_fields(CandidateTable(q, fit.edges)), base
             assert (_board_state(board), placed) == before
-            sizes.add(len(fit[0]))
+            sizes.add(len(fit.edges))
     assert 0 in sizes and len(sizes) > 2  # maximal bases keep nothing, others keep some
 
 
@@ -600,11 +640,11 @@ def test_own_rule_state_is_own_ok_after_every_place_and_undo(q, mode, steps):
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    slices = CandidateSlices(q, coords)
+    table = CandidateTable(q, pool)
     for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
         board = ScratchBoard.over(q, base.edges)[0]
         start = _board_state(board)
-        state = OwnRuleState(slices, board)
+        state = OwnRuleState(table, board)
         first = state.dead
         chosen = []
         for _ in range(steps):
@@ -615,9 +655,9 @@ def test_own_rule_state_is_own_ok_after_every_place_and_undo(q, mode, steps):
             elif alive:
                 chosen.append(rng.choice(alive))
                 state.place(*coords[chosen[-1]])
-            assert state.dead == slices.everything & ~slices.own_ok(board)
+            assert state.dead == table.everything & ~table.own_ok(board)
             if q <= 4:
-                assert state.dead == slices.everything & ~_kernel_mask(board, coords, nondeg)
+                assert state.dead == table.everything & ~_kernel_mask(board, coords, nondeg)
             again = ScratchBoard.over(q, list(base.edges) + [pool[k] for k in chosen])[0]
             assert _board_state(board) == _board_state(again)
         while chosen:
@@ -637,12 +677,12 @@ def test_recheck_is_insertion_ok_on_every_own_ok_candidate(q, mode, rounds, samp
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    slices = CandidateSlices(q, coords)
+    table = CandidateTable(q, pool)
     verdicts = set()
     for family in _random_families(rng, q, rounds):
         board, placed = ScratchBoard.over(q, family)
         before = _board_state(board), list(placed)
-        own_ok = slices.own_ok(board)
+        own_ok = table.own_ok(board)
         alive = [k for k in range(len(pool)) if (own_ok >> k) & 1]
         for k in alive if sample is None else rng.sample(alive, min(sample, len(alive))):
             verdict = board.recheck_ok(coords[k], placed)

@@ -9,7 +9,7 @@ import pytest
 
 from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
 from zlq import exact
-from zlq.admissibility import CandidateSlices, OwnRuleState, ScratchBoard
+from zlq.admissibility import CandidateTable, OwnRuleState, ScratchBoard
 from zlq.board import BoardError, candidate_family, counting_summary
 from zlq.exact import (
     _transpose,
@@ -104,8 +104,7 @@ def test_conflicts_agree_with_pair_verification():
     # all 66 candidates, the statically infeasible ones included
     cands = candidate_family(3, "full")
     board = ScratchBoard(3)
-    coords = [board.coords(e) for e in cands]
-    masks = pairwise_conflicts(board, coords, [])
+    masks = pairwise_conflicts(board, CandidateTable(3, cands), [])
     # the reference family's two edges do not conflict
     i = cands.index(((0, 1, 2), (0, 3, 1)))
     j = cands.index(((1, 3, 2), (2, 3, 0)))
@@ -130,9 +129,9 @@ def test_conflicts_over_a_base_agree_with_verification():
             if e not in base.edges and verify(Family.from_edges(q, list(base.edges) + [e])).ok
         ]
         board, placed = ScratchBoard.over(q, base.edges)
-        edges, coords, _ = board.fitting(fits, placed)
-        assert edges == fits
-        masks = pairwise_conflicts(board, coords, placed)
+        table = board.fitting(fits, placed)
+        assert table.edges == fits
+        masks = pairwise_conflicts(board, table, placed)
         pairs = list(itertools.combinations(range(len(fits)), 2))
         for a, b in pairs if q == 3 else rng.sample(pairs, 1500):
             together = verify(Family.from_edges(q, list(base.edges) + [fits[a], fits[b]])).ok
@@ -143,14 +142,14 @@ def test_conflicts_over_a_base_agree_with_verification():
 @pytest.mark.parametrize("base_size", [0, 2])
 def test_conflicts_leave_the_board_as_found(base_size):
     board, placed = ScratchBoard.over(4, reference_family(4).edges[:base_size])
-    _, coords, _ = board.fitting(candidate_family(4, "full"), placed)
+    table = board.fitting(candidate_family(4, "full"), placed)
     state = (list(board.col_masks), list(board.row_masks), list(placed))
-    masks = pairwise_conflicts(board, coords, placed)
+    masks = pairwise_conflicts(board, table, placed)
     assert any(masks)
     assert (board.col_masks, board.row_masks, placed) == state
     # a deadline already past fills no row: the empty relation is sound
-    stale = pairwise_conflicts(board, coords, placed, time.monotonic() - 1.0)
-    assert stale == [0] * len(coords)
+    stale = pairwise_conflicts(board, table, placed, time.monotonic() - 1.0)
+    assert stale == [0] * len(table.edges)
     assert (board.col_masks, board.row_masks, placed) == state
 
 
@@ -184,9 +183,9 @@ def test_conflicts_are_the_kernel_loop_exhaustively(q, mode):
     rng = random.Random(11 * q + len(mode))
     for base in _bases(rng, q, 3 if q < 4 else 2):
         board, placed = ScratchBoard.over(q, base)
-        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
-        expected = _kernel_conflicts(board, coords, nondeg, placed)
-        assert pairwise_conflicts(board, coords, placed) == expected, base
+        table = board.fitting(candidate_family(q, mode), placed)
+        expected = _kernel_conflicts(board, table.coords, table.nondeg, placed)
+        assert pairwise_conflicts(board, table, placed) == expected, base
 
 
 @pytest.mark.parametrize("mode", ["full", "nondeg"])
@@ -195,8 +194,9 @@ def test_conflicts_are_the_kernel_loop_on_random_rows(q, mode):
     rng = random.Random(13 * q + len(mode))
     for base in _bases(rng, q, 1):
         board, placed = ScratchBoard.over(q, base)
-        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
-        masks = pairwise_conflicts(board, coords, placed)
+        table = board.fitting(candidate_family(q, mode), placed)
+        coords, nondeg = table.coords, table.nondeg
+        masks = pairwise_conflicts(board, table, placed)
         for i in rng.sample(range(len(coords)), 3):
             row = sum(
                 1 << j for j in range(len(coords))
@@ -246,10 +246,11 @@ def test_transpose_is_the_per_bit_loop(n, density, monkeypatch):
     assert rows == before
 
 
-def _closed_by_bits(board, coords, nondeg, placed):
+def _closed_by_bits(board, table, placed):
     """The conflict rows closed bit by bit, and over a base re-checked with the full kernel."""
+    coords, nondeg = table.coords, table.nondeg
     n = len(coords)
-    state = OwnRuleState(CandidateSlices(len(board.row_masks) - 1, coords), board)
+    state = OwnRuleState(table, board)
     masks = []
     for i in range(n):
         state.place(*coords[i])
@@ -303,9 +304,9 @@ def test_the_tree_gets_the_per_bit_static_order_masks(q, mode, monkeypatch):
     monkeypatch.setattr(exact, "clique_cover", cover)
     for base in _bases(rng, q, 1):
         board, placed = ScratchBoard.over(q, base)
-        _, coords, nondeg = board.fitting(candidate_family(q, mode), placed)
-        closed = _closed_by_bits(board, coords, nondeg, placed)
-        assert pairwise_conflicts(board, coords, placed) == closed, base
+        table = board.fitting(candidate_family(q, mode), placed)
+        closed = _closed_by_bits(board, table, placed)
+        assert pairwise_conflicts(board, table, placed) == closed, base
         seen.clear()
         solve_extension(Family.from_edges(q, base), candidate_family(q, mode), node_limit=1)
         assert seen and seen[0] == _static_order_by_bits(closed), base
@@ -335,8 +336,9 @@ def _max_family(q, edges, masks, subset):
 def test_the_clique_cover_never_undercuts_the_best_family(q, mode):
     rng = random.Random(17 * q + len(mode))
     board, placed = ScratchBoard.over(q, [])
-    edges, coords, _ = board.fitting(candidate_family(q, mode), placed)
-    masks = pairwise_conflicts(board, coords, placed)
+    table = board.fitting(candidate_family(q, mode), placed)
+    edges = table.edges
+    masks = pairwise_conflicts(board, table, placed)
     for _ in range(60):
         subset = sum(1 << k for k in rng.sample(range(len(edges)), rng.randint(1, 14)))
         cover = clique_cover(subset, masks, subset.bit_count())
@@ -449,7 +451,7 @@ def _orbits_by_permutation(q, candidates):
 def test_generator_closure_orbits_match_the_full_permutation_action(q):
     for mode in ("full", "nondeg"):
         cands = candidate_family(q, mode)
-        usable = ScratchBoard(q).fitting(cands, [])[0]  # the list the solver passes
+        usable = ScratchBoard(q).fitting(cands, []).edges  # the list the solver passes
         for lst in (cands, usable):
             assert candidate_orbits(q, lst) == _orbits_by_permutation(q, lst)
     with pytest.raises(ValueError, match="not closed"):

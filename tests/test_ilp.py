@@ -141,7 +141,7 @@ def test_rows_share_one_unit_term_per_variable():
 def test_fixed_zero_is_the_static_prune(q, mode):
     # the ILP's collapsed rows drop exactly what the kernel drops on an empty board
     cands = candidate_family(q, mode)
-    kept = set(ScratchBoard(q).fitting(cands, [])[0])
+    kept = set(ScratchBoard(q).fitting(cands, []).edges)
     dropped = tuple(k for k, e in enumerate(cands) if e not in kept)
     assert build_model(q, mode, prune_static=True).fixed_zero == dropped
 

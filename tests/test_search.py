@@ -16,7 +16,7 @@ from zlq import (
     run_search,
     verify,
 )
-from zlq.admissibility import ScratchBoard
+from zlq.admissibility import CandidateTable, ScratchBoard, _set_bits
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
@@ -262,7 +262,7 @@ def test_run_search_zero_time_limit_returns_empty(monkeypatch):
     def no_table(*args):
         raise AssertionError("candidate table built under a zero budget")
 
-    monkeypatch.setattr(zlq.search, "_Candidates", no_table)
+    monkeypatch.setattr(zlq.search, "CandidateTable", no_table)
     result = run_search(SearchConfig(q=3, restarts=8, time_limit=0))
     assert result.best_size == 0
     assert result.verified
@@ -308,32 +308,46 @@ def test_config_validation():
     SearchConfig(q=4, time_limit=float("inf")).validate()
 
 
+def _fill(table, board, placed, stream):
+    """One search fill spelled out: first-fit a shuffle of the own-rule survivors."""
+    survivors = _set_bits(table.own_ok(board))
+    stream.shuffle(survivors)
+    return board.first_fit(survivors, table, placed)
+
+
 @pytest.mark.parametrize("q, start", [(4, None), (5, None), (6, None), (6, "lift")])
 def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
     # hereditarity: a candidate rejected against part of the family stays
     # rejected, so a second fill on the first one's board adds nothing and
     # a restart needs no repair fill after its first fit
     base = [] if start is None else list(embed(reference_family(q - 1)).edges)
-    cands = zlq.search._Candidates(q, "full")
+    table = CandidateTable(q, candidate_family(q, "full"))
     for seed in range(3):
         stream = derive_stream(seed, 0)
         board, placed = ScratchBoard.over(q, base)
-        assert cands.first_fit(board, placed, stream)
-        assert cands.first_fit(board, placed, stream) == []
+        assert _fill(table, board, placed, stream)
+        assert _fill(table, board, placed, stream) == []
+        assert board.first_fit(range(len(table.edges)), table, placed) == []
 
 
 @pytest.mark.parametrize("q", range(2, 8))
-def test_the_static_prune_mask_keeps_the_kernel_table(q):
-    # the table is the whole candidate family in family order, with no
-    # prune of its own; the first own-rule mask on the empty board keeps
+def test_the_static_prune_mask_keeps_the_kernel_table(q, monkeypatch):
+    # the search's table is the whole candidate family in family order, with
+    # no prune of its own; the first own-rule mask on the empty board keeps
     # what the kernel loop keeps, in table order
     lookup = ScratchBoard(q)
+    tables = []
+    # record the table each run lays out, and run no restart on it
+    monkeypatch.setattr(
+        zlq.search, "_one_restart", lambda config, table, *_: tables.append(table) or ()
+    )
     for mode in ("full", "nondeg"):
-        cands = zlq.search._Candidates(q, mode)
+        run_search(SearchConfig(q=q, mode=mode, restarts=1))
+        cands = tables.pop()
         assert cands.edges == candidate_family(q, mode)
         assert cands.coords == [lookup.coords(e) for e in cands.edges]
         assert cands.nondeg == [classify(e) == NONDEGENERATE for e in cands.edges]
-        kept = zlq.search._set_bits(cands.slices.own_ok(lookup))
+        kept = _set_bits(cands.own_ok(lookup))
         edges, coords, nondeg = kernel_fitting(lookup, cands.edges, [])
         assert [cands.edges[k] for k in kept] == edges
         assert [cands.coords[k] for k in kept] == coords
@@ -380,10 +394,10 @@ def test_run_search_path_is_pinned(config, sizes, best_restart, digest):
 def test_time_limit_cuts_improvement_short(monkeypatch):
     # a clock that passes the deadline as soon as the first fill ends
     fills = []
-    first_fit = zlq.search._Candidates.first_fit
+    first_fit = ScratchBoard.first_fit
 
-    def counted_fill(self, board, placed, stream):
-        accepted = first_fit(self, board, placed, stream)
+    def counted_fill(self, order, table, placed):
+        accepted = first_fit(self, order, table, placed)
         fills.append(len(placed))
         return accepted
 
@@ -393,7 +407,7 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
         expired_reads.append(bool(fills))
         return 1e9 if fills else 0.0
 
-    monkeypatch.setattr(zlq.search._Candidates, "first_fit", counted_fill)
+    monkeypatch.setattr(ScratchBoard, "first_fit", counted_fill)
     monkeypatch.setattr(zlq.search, "time", SimpleNamespace(monotonic=clock))
     result = run_search(SearchConfig(q=7, restarts=2, time_limit=0.5))
     assert len(fills) == 1 and fills[0] > 0  # a first fit, and no repair attempt
@@ -405,9 +419,9 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
 def test_run_search_on_an_empty_candidate_table():
     # the table holds the three q=2 candidates, but each breaks a rule on
     # its own, so no fill's own-rule mask keeps any of them
-    cands = zlq.search._Candidates(2, "full")
+    cands = CandidateTable(2, candidate_family(2, "full"))
     assert cands.edges == candidate_family(2, "full") and len(cands.edges) == 3
-    assert cands.slices.own_ok(ScratchBoard(2)) == 0
+    assert cands.own_ok(ScratchBoard(2)) == 0
     result = run_search(SearchConfig(q=2, restarts=2))
     assert result.restart_sizes == (0, 0)
     assert result.best_size == 0
@@ -437,36 +451,48 @@ def _interleave(rng, first, second):
 def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatch):
     # a fill first-fits a shuffle of the candidates whose own rules hold on
     # its starting board; by heredity it accepts what a first fit over the
-    # whole table does in any order restricting to it
-    cands = zlq.search._Candidates(config.q, config.mode)
-    found = list(run_search(config).best.edges)
-    orders = []
+    # whole table does in any order restricting to it.  Checked on the
+    # first fill of a run and on a sample of its repair fills.
+    fills = []
     board_first_fit = ScratchBoard.first_fit
 
-    def recorded(self, order, *args):
-        orders.append(list(order))
-        return board_first_fit(self, order, *args)
+    def recorded(self, order, table, placed):
+        start = list(placed)
+        accepted = board_first_fit(self, order, table, placed)
+        fills.append((start, list(order), table, accepted, list(placed), _board_state(self)))
+        return accepted
 
     monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
+    found = list(run_search(config).best.edges)
+    monkeypatch.undo()
     rng = random.Random(config.seed)
-    stream = derive_stream(config.seed, 1)
-    table = range(len(cands.edges))
-    for size in (0, len(found) // 3, len(found) // 2, len(found) - 1, len(found)):
-        kept = rng.sample(found, size)
-        fast, fast_placed = ScratchBoard.over(config.q, kept)
-        survivors = [k for k in table if fast.insertion_ok(cands.coords[k], cands.nondeg[k], [])]
-        accepted = cands.first_fit(fast, fast_placed, stream)
-        (order,) = orders
-        orders.clear()
+    sample = fills[:1] + rng.sample(fills[1:], min(4, len(fills) - 1))
+    for start, order, table, accepted, fast_placed, fast_state in sample:
+        whole = range(len(table.edges))
+        base = _board_of(config.q, start)
+        survivors = [k for k in whole if base.insertion_ok(table.coords[k], table.nondeg[k], [])]
         assert sorted(order) == survivors
-        others = sorted(set(table) - set(survivors))
-        for whole in (others + order, order + others, _interleave(rng, order, others)):
-            slow, slow_placed = ScratchBoard.over(config.q, kept)
-            assert board_first_fit(slow, whole, cands.coords, cands.nondeg, slow_placed) == accepted
+        others = sorted(set(whole) - set(survivors))
+        for full_order in (others + order, order + others, _interleave(rng, order, others)):
+            slow, slow_placed = _board_of(config.q, start), list(start)
+            assert board_first_fit(slow, full_order, table, slow_placed) == accepted
             assert slow_placed == fast_placed
-            assert (slow.col_masks, slow.row_masks) == (fast.col_masks, fast.row_masks)
-        if size == len(found):
-            assert accepted == []  # a search result is maximal
+            assert _board_state(slow) == fast_state
+    # a search result is maximal
+    final, final_placed = ScratchBoard.over(config.q, found)
+    assert board_first_fit(final, range(len(table.edges)), table, final_placed) == []
+
+
+def _board_state(board):
+    return list(board.col_masks), list(board.row_masks)
+
+
+def _board_of(q, placed):
+    """A fresh board with the edges that ``placed`` describes on it."""
+    board = ScratchBoard(q)
+    for entry in placed:
+        board.place(*entry[:4])
+    return board
 
 
 def _fill_results(monkeypatch, config):
@@ -477,14 +503,14 @@ def _fill_results(monkeypatch, config):
         r1, c1, r2, c2 = scratch.coords(e)
         edge_at[frozenset({(r1, c1), (r2, c2)})] = e
     results = []
-    first_fit = zlq.search._Candidates.first_fit
+    first_fit = ScratchBoard.first_fit
 
-    def recorded(self, board, placed, stream):
-        accepted = first_fit(self, board, placed, stream)
+    def recorded(self, order, table, placed):
+        accepted = first_fit(self, order, table, placed)
         results.append([edge_at[frozenset({(r1, c1), (r2, c2)})] for r1, c1, r2, c2, _ in placed])
         return accepted
 
-    monkeypatch.setattr(zlq.search._Candidates, "first_fit", recorded)
+    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
     run_search(config)
     return results
 
@@ -546,9 +572,9 @@ def test_no_fill_order_holds_a_candidate_that_fails_alone(config, sample, monkey
     handed = set()
     board_first_fit = ScratchBoard.first_fit
 
-    def recorded(self, order, coords, *args):
-        handed.update(edge_at[coords[k]] for k in order)
-        return board_first_fit(self, order, coords, *args)
+    def recorded(self, order, table, placed):
+        handed.update(edge_at[table.coords[k]] for k in order)
+        return board_first_fit(self, order, table, placed)
 
     monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
     assert verify(run_search(config).best).ok
