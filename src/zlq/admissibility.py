@@ -37,7 +37,8 @@ solver's seed.  Every kernel board is built one way, by
 ``CandidateTable`` is the one layout of a candidate list on a board: the
 edges, their coords and nondegeneracy flags (worked out from the coords),
 and the bit slices, one bitmask over candidate indices per row and per
-column, for each half.  ``take`` lays out a sub-table in a given order.
+column, for each half.  ``ScratchBoard.table`` lays a list out on a
+board, and ``take`` lays out a sub-table in a given order.
 ``OwnRuleState`` holds the mask of the candidates whose own rules fail on
 a board, and keeps it up to date as edges are placed and undone;
 ``CandidateTable.own_ok``, its complement on one board, equals
@@ -52,7 +53,7 @@ its conflict rows with the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, starmap
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -71,6 +72,8 @@ from .board import (
 from .families import Family
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+Coords = tuple[int, int, int, int]  # (row index, column) of each half of an edge
+Placed = tuple[int, int, int, int, bool]  # a placed edge's coords and nondegeneracy
 
 
 def _format_cell(cell: Cell) -> str:
@@ -175,22 +178,26 @@ class ScratchBoard:
             self.row_masks[j] |= 1 << k
 
     @classmethod
-    def over(
-        cls, q: int, edges: Iterable[TwoEdge]
-    ) -> tuple[ScratchBoard, list[tuple[int, int, int, int, bool]]]:
+    def over(cls, q: int, edges: Iterable[TwoEdge]) -> tuple[ScratchBoard, list[Placed]]:
         """A board with ``edges`` placed, and the ``placed`` list that describes them."""
         board = cls(q)
         placed = []
         for e in edges:
-            r1, c1, r2, c2 = coords = board.coords(e)
+            coords = board.coords(e)
             board.place(*coords)
-            placed.append((*coords, r1 != r2 and c1 != c2))
+            placed.append((*coords, _nondegenerate(*coords)))
         return board, placed
 
-    def coords(self, edge: TwoEdge) -> tuple[int, int, int, int]:
+    def coords(self, edge: TwoEdge) -> Coords:
         """(row index, column) pairs of the two halves."""
         (i1, j1, c1), (i2, j2, c2) = edge
         return self.rowidx[(i1, j1)], c1, self.rowidx[(i2, j2)], c2
+
+    def table(self, edges: Iterable[TwoEdge]) -> CandidateTable:
+        """The table of ``edges``, in order, on this board's rows and columns."""
+        edges = list(edges)
+        coords = list(map(self.coords, edges))
+        return CandidateTable(edges, coords, len(self.col_masks), len(self.row_masks))
 
     def cells_free(self, r1: int, c1: int, r2: int, c2: int) -> bool:
         return not ((self.col_masks[r1] >> c1) & 1 or (self.col_masks[r2] >> c2) & 1)
@@ -231,12 +238,7 @@ class ScratchBoard:
                 return True
         return False
 
-    def insertion_ok(
-        self,
-        coords: tuple[int, int, int, int],
-        nondeg: bool,
-        placed: list[tuple[int, int, int, int, bool]],
-    ) -> bool:
+    def insertion_ok(self, coords: Coords, nondeg: bool, placed: list[Placed]) -> bool:
         """Would placing this edge keep the board admissible?
 
         The edge's own rules are checked first, without placing it: its
@@ -251,11 +253,7 @@ class ScratchBoard:
             return False
         return not placed or self.recheck_ok(coords, placed)
 
-    def recheck_ok(
-        self,
-        coords: tuple[int, int, int, int],
-        placed: list[tuple[int, int, int, int, bool]],
-    ) -> bool:
+    def recheck_ok(self, coords: Coords, placed: list[Placed]) -> bool:
         """Would every edge in ``placed`` keep its rules once this edge is placed?
 
         ``placed`` holds the coords and nondegeneracy flags of the edges on
@@ -274,27 +272,20 @@ class ScratchBoard:
         finally:
             self.unplace(r1, c1, r2, c2)
 
-    def fitting(
-        self,
-        candidates: Iterable[TwoEdge],
-        placed: list[tuple[int, int, int, int, bool]],
-    ) -> CandidateTable:
+    def fitting(self, candidates: Iterable[TwoEdge], placed: list[Placed]) -> CandidateTable:
         """The candidates that fit against ``placed``, each judged alone, in order.
 
         One ``own_ok`` mask judges their own rules, then ``recheck_ok`` the
         placed edges for each survivor.  Returns the kept candidates as a
         table; on an empty board, the static prune.
         """
-        table = CandidateTable(len(self.row_masks) - 1, candidates)
+        table = self.table(candidates)
         coords = table.coords
         own = _set_bits(table.own_ok(self))
         return table.take([k for k in own if not placed or self.recheck_ok(coords[k], placed)])
 
     def first_fit(
-        self,
-        order: Iterable[int],
-        table: CandidateTable,
-        placed: list[tuple[int, int, int, int, bool]],
+        self, order: Iterable[int], table: CandidateTable, placed: list[Placed]
     ) -> list[int]:
         """Greedy first-fit: place every candidate in ``order`` that ``insertion_ok`` accepts.
 
@@ -313,6 +304,11 @@ class ScratchBoard:
                 placed.append((*ck, nondeg[k]))
                 accepted.append(k)
         return accepted
+
+
+def _nondegenerate(r1: int, c1: int, r2: int, c2: int) -> bool:
+    """Whether an edge's halves differ in both row and column (C2 applies)."""
+    return r1 != r2 and c1 != c2
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -363,16 +359,11 @@ class CandidateTable:
 
     __slots__ = ("edges", "coords", "nondeg", "row1", "row2", "col1", "col2", "everything")
 
-    def __init__(self, q: int, edges: Iterable[TwoEdge]):
-        board = ScratchBoard(q)
-        self.edges = list(edges)
-        self.coords = list(map(board.coords, self.edges))
-        self._slice(len(board.col_masks), len(board.row_masks))
-
-    def _slice(self, n_rows: int, n_cols: int) -> None:
-        """Work out ``nondeg``, the slices and ``everything`` from ``coords``."""
-        coords = self.coords
-        self.nondeg = [r1 != r2 and c1 != c2 for r1, c1, r2, c2 in coords]
+    def __init__(self, edges: list[TwoEdge], coords: list[Coords], n_rows: int, n_cols: int):
+        """Lay out ``edges`` at ``coords`` on a board of ``n_rows`` x ``n_cols``."""
+        self.edges = edges
+        self.coords = coords
+        self.nondeg = list(starmap(_nondegenerate, coords))
         self.row1, self.col1, self.row2, self.col2 = (
             _slices(coords, part, size)
             for part, size in enumerate((n_rows, n_cols, n_rows, n_cols))
@@ -381,11 +372,12 @@ class CandidateTable:
 
     def take(self, indices: Sequence[int]) -> CandidateTable:
         """The table of the candidates at ``indices``, in that order."""
-        table = object.__new__(CandidateTable)
-        table.edges = [self.edges[k] for k in indices]
-        table.coords = [self.coords[k] for k in indices]
-        table._slice(len(self.row1), len(self.col1))
-        return table
+        return CandidateTable(
+            [self.edges[k] for k in indices],
+            [self.coords[k] for k in indices],
+            len(self.row1),
+            len(self.col1),
+        )
 
     def own_ok(self, board: ScratchBoard) -> int:
         """The mask of the candidates whose own rules hold on ``board``.
@@ -579,8 +571,8 @@ def incremental_check(family: Family, edge: TwoEdge) -> bool:
     if any(len(claimants) > 1 for claimants in claims.values()):
         return False
     scratch, placed = ScratchBoard.over(family.q, family.edges)
-    r1, c1, r2, c2 = coords = scratch.coords(edge)
-    return scratch.insertion_ok(coords, r1 != r2 and c1 != c2, placed)
+    coords = scratch.coords(edge)
+    return scratch.insertion_ok(coords, _nondegenerate(*coords), placed)
 
 
 def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:

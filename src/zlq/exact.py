@@ -65,7 +65,7 @@ from .board import (
     make_edge,
 )
 from .families import Family
-from .admissibility import CandidateTable, OwnRuleState, ScratchBoard, verify
+from .admissibility import CandidateTable, OwnRuleState, Placed, ScratchBoard, verify
 
 OPTIMAL = "optimal"
 INCUMBENT = "incumbent"
@@ -186,7 +186,7 @@ def _transpose(rows: list[int], deadline: float | None) -> list[int]:
 def pairwise_conflicts(
     board: ScratchBoard,
     table: CandidateTable,
-    placed: list[tuple[int, int, int, int, bool]],
+    placed: list[Placed],
     deadline: float | None = None,
 ) -> list[int]:
     """Bitmask per candidate of the candidates it can never coexist with.

@@ -172,7 +172,7 @@ def run_search(config: SearchConfig, progress: Progress | None = None) -> Search
     best_restart = -1
     restart_sizes: list[int] = []
     if config.restarts and not _expired(deadline):  # a spent budget builds no table
-        table = CandidateTable(config.q, candidate_family(config.q, config.mode))
+        table = ScratchBoard(config.q).table(candidate_family(config.q, config.mode))
     for r in range(config.restarts):
         if _expired(deadline):
             break

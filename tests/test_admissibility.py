@@ -13,7 +13,6 @@ from zlq import (
     verify,
 )
 from zlq.admissibility import (
-    CandidateTable,
     OwnRuleState,
     ScratchBoard,
     cell_claims,
@@ -422,7 +421,7 @@ def _assert_first_fit_matches_loop(q, base, cands, order):
     nondeg = [classify(e) == NONDEGENERATE for e in cands]
     fast, fast_placed = ScratchBoard.over(q, base.edges)
     slow, slow_placed = ScratchBoard.over(q, base.edges)
-    accepted = fast.first_fit(order, CandidateTable(q, cands), fast_placed)
+    accepted = fast.first_fit(order, ScratchBoard(q).table(cands), fast_placed)
     assert accepted == _first_fit_by_hand(slow, order, coords, nondeg, slow_placed)
     assert _board_state(fast) == _board_state(slow)
     assert fast_placed == slow_placed
@@ -458,7 +457,7 @@ def test_first_fit_matches_insertion_loop_large():
 def _first_fit_family(q, base, order):
     """``base`` plus what ``first_fit`` accepts from the 2-edges in ``order``."""
     scratch, placed = ScratchBoard.over(q, base.edges)
-    accepted = scratch.first_fit(range(len(order)), CandidateTable(q, order), placed)
+    accepted = scratch.first_fit(range(len(order)), ScratchBoard(q).table(order), placed)
     return Family.from_edges(q, list(base.edges) + [order[k] for k in accepted])
 
 
@@ -487,7 +486,7 @@ def test_an_optimal_family_admits_nothing():
         q = optimum.q
         cands = candidate_family(q, "full")
         scratch, placed = ScratchBoard.over(q, optimum.edges)
-        assert table_fields(scratch.fitting(cands, placed)) == table_fields(CandidateTable(q, []))
+        assert table_fields(scratch.fitting(cands, placed)) == table_fields(scratch.table([]))
         assert _first_fit_family(q, optimum, cands) == optimum
 
 
@@ -517,7 +516,7 @@ def _random_families(rng, q, rounds):
     """Empty, partial and maximal random admissible families, as edge lists."""
     families = [[]]
     cands = candidate_family(q, "full")
-    table = CandidateTable(q, cands)
+    table = ScratchBoard(q).table(cands)
     for _ in range(rounds):
         order = list(range(len(cands)))
         rng.shuffle(order)
@@ -542,7 +541,7 @@ def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    table = CandidateTable(q, pool)
+    table = ScratchBoard(q).table(pool)
     boards = _random_boards(rng, q, rounds)
     for board in boards:
         before = _board_state(board)
@@ -561,7 +560,7 @@ def test_own_ok_is_the_kernel_on_every_candidate(q, mode, rounds):
 def test_table_nondeg_is_classify(q, mode):
     # nondegeneracy comes from the coords alone; coords are the board's
     cands = candidate_family(q, mode)
-    table = CandidateTable(q, cands)
+    table = ScratchBoard(q).table(cands)
     assert table.nondeg == [classify(e) == NONDEGENERATE for e in cands]
     lookup = ScratchBoard(q)
     assert table.coords == [lookup.coords(e) for e in cands]
@@ -575,19 +574,20 @@ def test_table_nondeg_is_classify(q, mode):
 def test_take_is_a_fresh_table_over_the_taken_edges(q, mode):
     rng = random.Random(107 * q + len(mode))
     cands = candidate_family(q, mode)
-    table = CandidateTable(q, cands)
+    table = ScratchBoard(q).table(cands)
     whole = range(len(cands))
     picks = [[], list(whole), list(reversed(whole))]
     picks += [rng.sample(whole, rng.randint(1, len(cands))) for _ in range(6)]
     picks += [rng.choices(whole, k=rng.randint(1, 40)) for _ in range(2)]  # repeats too
     for indices in picks:
         taken = table.take(indices)
-        assert table_fields(taken) == table_fields(CandidateTable(q, [cands[k] for k in indices]))
+        fresh = ScratchBoard(q).table([cands[k] for k in indices])
+        assert table_fields(taken) == table_fields(fresh)
         # a sub-table of a sub-table takes the composed indices
         inner = rng.sample(range(len(indices)), len(indices) // 2)
         composed = table.take([indices[k] for k in inner])
         assert table_fields(taken.take(inner)) == table_fields(composed)
-    assert table_fields(table) == table_fields(CandidateTable(q, cands))  # take leaves it alone
+    assert table_fields(table) == table_fields(ScratchBoard(q).table(cands))  # take leaves it alone
 
 
 def _admissible_families(q, mode):
@@ -625,7 +625,7 @@ def test_fitting_is_the_kernel_loop(q, mode, rounds):
         for table in (cands, rng.sample(cands, len(cands))):
             fit = board.fitting(iter(table), placed)
             assert (fit.edges, fit.coords, fit.nondeg) == kernel_fitting(board, table, placed), base
-            assert table_fields(fit) == table_fields(CandidateTable(q, fit.edges)), base
+            assert table_fields(fit) == table_fields(ScratchBoard(q).table(fit.edges)), base
             assert (_board_state(board), placed) == before
             sizes.add(len(fit.edges))
     assert 0 in sizes and len(sizes) > 2  # maximal bases keep nothing, others keep some
@@ -640,7 +640,7 @@ def test_own_rule_state_is_own_ok_after_every_place_and_undo(q, mode, steps):
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    table = CandidateTable(q, pool)
+    table = ScratchBoard(q).table(pool)
     for base in (Family.from_edges(q, []), random_subfamily(rng, reference_family(q))):
         board = ScratchBoard.over(q, base.edges)[0]
         start = _board_state(board)
@@ -677,7 +677,7 @@ def test_recheck_is_insertion_ok_on_every_own_ok_candidate(q, mode, rounds, samp
     lookup = ScratchBoard(q)
     coords = [lookup.coords(e) for e in pool]
     nondeg = [classify(e) == NONDEGENERATE for e in pool]
-    table = CandidateTable(q, pool)
+    table = ScratchBoard(q).table(pool)
     verdicts = set()
     for family in _random_families(rng, q, rounds):
         board, placed = ScratchBoard.over(q, family)

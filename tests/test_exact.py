@@ -9,7 +9,7 @@ import pytest
 
 from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
 from zlq import exact
-from zlq.admissibility import CandidateTable, OwnRuleState, ScratchBoard
+from zlq.admissibility import OwnRuleState, ScratchBoard
 from zlq.board import BoardError, candidate_family, counting_summary
 from zlq.exact import (
     _transpose,
@@ -104,7 +104,7 @@ def test_conflicts_agree_with_pair_verification():
     # all 66 candidates, the statically infeasible ones included
     cands = candidate_family(3, "full")
     board = ScratchBoard(3)
-    masks = pairwise_conflicts(board, CandidateTable(3, cands), [])
+    masks = pairwise_conflicts(board, ScratchBoard(3).table(cands), [])
     # the reference family's two edges do not conflict
     i = cands.index(((0, 1, 2), (0, 3, 1)))
     j = cands.index(((1, 3, 2), (2, 3, 0)))

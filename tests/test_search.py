@@ -16,7 +16,7 @@ from zlq import (
     run_search,
     verify,
 )
-from zlq.admissibility import CandidateTable, ScratchBoard, _set_bits
+from zlq.admissibility import ScratchBoard, _set_bits
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
@@ -262,7 +262,7 @@ def test_run_search_zero_time_limit_returns_empty(monkeypatch):
     def no_table(*args):
         raise AssertionError("candidate table built under a zero budget")
 
-    monkeypatch.setattr(zlq.search, "CandidateTable", no_table)
+    monkeypatch.setattr(ScratchBoard, "table", no_table)
     result = run_search(SearchConfig(q=3, restarts=8, time_limit=0))
     assert result.best_size == 0
     assert result.verified
@@ -321,7 +321,7 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
     # rejected, so a second fill on the first one's board adds nothing and
     # a restart needs no repair fill after its first fit
     base = [] if start is None else list(embed(reference_family(q - 1)).edges)
-    table = CandidateTable(q, candidate_family(q, "full"))
+    table = ScratchBoard(q).table(candidate_family(q, "full"))
     for seed in range(3):
         stream = derive_stream(seed, 0)
         board, placed = ScratchBoard.over(q, base)
@@ -419,7 +419,7 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
 def test_run_search_on_an_empty_candidate_table():
     # the table holds the three q=2 candidates, but each breaks a rule on
     # its own, so no fill's own-rule mask keeps any of them
-    cands = CandidateTable(2, candidate_family(2, "full"))
+    cands = ScratchBoard(2).table(candidate_family(2, "full"))
     assert cands.edges == candidate_family(2, "full") and len(cands.edges) == 3
     assert cands.own_ok(ScratchBoard(2)) == 0
     result = run_search(SearchConfig(q=2, restarts=2))
@@ -451,8 +451,9 @@ def _interleave(rng, first, second):
 def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatch):
     # a fill first-fits a shuffle of the candidates whose own rules hold on
     # its starting board; by heredity it accepts what a first fit over the
-    # whole table does in any order restricting to it.  Checked on the
-    # first fill of a run and on a sample of its repair fills.
+    # whole table does in any order restricting to it.  Checked on fills
+    # from random subsets of a search result, and on the run's first fill
+    # and a sample of its repair fills.
     fills = []
     board_first_fit = ScratchBoard.first_fit
 
@@ -464,10 +465,21 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
 
     monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
     found = list(run_search(config).best.edges)
-    monkeypatch.undo()
     rng = random.Random(config.seed)
-    sample = fills[:1] + rng.sample(fills[1:], min(4, len(fills) - 1))
-    for start, order, table, accepted, fast_placed, fast_state in sample:
+    cases = fills[:1] + rng.sample(fills[1:], min(4, len(fills) - 1))
+    table = fills[0][2]
+    fills.clear()
+    stream = derive_stream(config.seed, 1)
+    for size in (0, len(found) // 3, len(found) // 2, len(found) - 1, len(found)):
+        fast, fast_placed = ScratchBoard.over(config.q, rng.sample(found, size))
+        accepted = _fill(table, fast, fast_placed, stream)
+        (case,) = fills
+        fills.clear()
+        cases.append(case)
+        if size == len(found):
+            assert accepted == []  # a search result is maximal
+    monkeypatch.undo()
+    for start, order, table, accepted, fast_placed, fast_state in cases:
         whole = range(len(table.edges))
         base = _board_of(config.q, start)
         survivors = [k for k in whole if base.insertion_ok(table.coords[k], table.nondeg[k], [])]
@@ -478,9 +490,6 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
             assert board_first_fit(slow, full_order, table, slow_placed) == accepted
             assert slow_placed == fast_placed
             assert _board_state(slow) == fast_state
-    # a search result is maximal
-    final, final_placed = ScratchBoard.over(config.q, found)
-    assert board_first_fit(final, range(len(table.edges)), table, final_placed) == []
 
 
 def _board_state(board):
