@@ -2,8 +2,9 @@
 
 Data goes to stdout as JSON (or, for failed verification, as the
 violation-report text format); human-readable progress goes to stderr and
-is silenced by ``--quiet``.  Exit codes: 0 success / verified / optimal,
-1 failed verification or unproven optimality, 2 usage and input errors.
+is silenced by ``--quiet``.  ``_emit`` writes every JSON line on either
+stream, compact with sorted keys.  Exit codes: 0 success / verified /
+optimal, 1 failed verification or unproven optimality, 2 usage and input errors.
 """
 
 from __future__ import annotations
@@ -35,25 +36,14 @@ from .recognition import (
 from .fixtures import REFERENCE_QS, gap_ratio, k4t_bound, reference_family, reference_table
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _emit(payload, file=None) -> None:
+    """The one JSON writer of the console: a compact line with sorted keys, stdout by default."""
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=file)
 
 
-def _stderr_json(kind: str, message: str, **extra) -> None:
-    payload = {"error": kind, "message": message}
-    payload.update(extra)
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-
-
-def _progress(quiet: bool):
-    if quiet:
-        return None
-    return lambda line: print(line, file=sys.stderr)
-
-
-def _say(quiet: bool, line: str) -> None:
-    if not quiet:
-        print(line, file=sys.stderr)
+def _stderr(quiet: bool):
+    """A command's progress printer: each line to stderr, or nowhere under ``--quiet``."""
+    return (lambda line: None) if quiet else (lambda line: print(line, file=sys.stderr))
 
 
 def _load(path: str, parse):
@@ -61,33 +51,34 @@ def _load(path: str, parse):
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _CliError(2, "io", f"cannot read {path}: {exc}") from None
+        raise _CliError("io", f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _CliError(2, "parse", f"{path}: not UTF-8 text: {exc}") from None
+        raise _CliError("parse", f"{path}: not UTF-8 text: {exc}") from None
     except (FamilyFormatError, GraphFormatError, SolutionFormatError) as exc:
-        raise _CliError(2, "parse", f"{path}: {exc}") from None
+        raise _CliError("parse", f"{path}: {exc}") from None
 
 
 def _check_output_dirs(args) -> None:
     """Fail before any work when an ``--out`` or ``--log`` path has no directory or is one."""
     for path in (getattr(args, "out", None), getattr(args, "log", None)):
         if path and not Path(path).parent.is_dir():
-            raise _CliError(2, "io", f"cannot write {path}: no such directory")
+            raise _CliError("io", f"cannot write {path}: no such directory")
         if path and Path(path).is_dir():
-            raise _CliError(2, "io", f"cannot write {path}: is a directory")
+            raise _CliError("io", f"cannot write {path}: is a directory")
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _CliError(2, "io", f"cannot write {path}: {exc}") from None
+        raise _CliError("io", f"cannot write {path}: {exc}") from None
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, kind: str, message: str):
+    """A usage or input error of ``kind``; ``main`` reports it on stderr and exits 2."""
+
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
-        self.code = code
         self.kind = kind
 
 
@@ -98,17 +89,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        raise _CliError(2, "usage", message)
+        raise _CliError("usage", message)
 
 
 def _cmd_verify(args) -> int:
     family = _load(args.file, parse_family)
     result = verify(family)
+    say = _stderr(args.quiet)
     if result.ok:
-        _say(args.quiet, f"PASS: {len(family)} 2-edges on the q={family.q} board")
+        say(f"PASS: {len(family)} 2-edges on the q={family.q} board")
         _emit({"ok": True, "q": family.q, "size": len(family)})
         return 0
-    _say(args.quiet, f"FAIL: {len(result.violations)} violations")
+    say(f"FAIL: {len(result.violations)} violations")
     print(result.report())
     return 1
 
@@ -123,10 +115,9 @@ def _cmd_solve_exact(args) -> int:
     )
     m = result.q * (result.q + 1) // 2
     n = result.q + 1
-    _say(
-        args.quiet,
+    _stderr(args.quiet)(
         f"{result.status} |E2|={result.size}, z_L({m},{n})={result.z_value}"
-        f" [{result.nodes} nodes, {result.elapsed:.2f}s]",
+        f" [{result.nodes} nodes, {result.elapsed:.2f}s]"
     )
     if args.out:
         _write(args.out, serialize_family(result.certificate))
@@ -159,7 +150,7 @@ def _cmd_search(args) -> int:
         delete_width=args.delete_width,
         warm_start=warm,
     )
-    result = run_search(config, progress=_progress(args.quiet))
+    result = run_search(config, progress=_stderr(args.quiet))
     if args.out:
         _write(args.out, serialize_family(result.best))
     _emit(
@@ -185,7 +176,7 @@ def _cmd_lift(args) -> int:
         delete_width=args.delete_width,
         oracle_on_shortfall=not args.no_oracle,
         oracle_node_limit=args.node_limit,
-        progress=_progress(args.quiet),
+        progress=_stderr(args.quiet),
     )
     if args.out:
         _write(args.out, serialize_family(report.family))
@@ -248,29 +239,26 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    qs = [args.q] if args.q is not None else list(REFERENCE_QS)
-    for q in qs:
-        if q not in REFERENCE_QS:
-            raise _CliError(2, "usage", f"no bundled family for q={q}")
+    if args.q is not None and args.q not in REFERENCE_QS:
+        raise _CliError("usage", f"no bundled family for q={args.q}")
     if args.emit:
         if args.q is None:
-            raise _CliError(2, "usage", "--emit requires --q")
+            raise _CliError("usage", "--emit requires --q")
         print(serialize_family(reference_family(args.q)), end="")
         return 0
-    rows = []
-    for q in qs:
-        family = reference_family(q)
-        result = verify(family)
-        rows.append(
-            {
-                "q": q,
-                "size": len(family),
-                "verified": result.ok,
-                "nondegenerate": all(classify(e) == NONDEGENERATE for e in family.edges),
-            }
-        )
-    _emit(rows)
+    _emit([_family_row(q) for q in (REFERENCE_QS if args.q is None else (args.q,))])
     return 0
+
+
+def _family_row(q: int) -> dict:
+    """The bundled q family's size, whether it verifies, and whether every edge is nondegenerate."""
+    family = reference_family(q)
+    return {
+        "q": q,
+        "size": len(family),
+        "verified": verify(family).ok,
+        "nondegenerate": all(classify(e) == NONDEGENERATE for e in family.edges),
+    }
 
 
 def _cmd_ratios(args) -> int:
@@ -314,22 +302,17 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    checks: list[tuple[str, bool, str]] = []
+    verdicts: list[bool] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, ok, detail))
-        print(json.dumps({"check": name, "ok": ok, "detail": detail}, sort_keys=True))
+        verdicts.append(ok)
+        _emit({"check": name, "ok": ok, "detail": detail})
 
     for row in reference_table():
-        family = reference_family(row.q)
-        result = verify(family)
-        nondeg = all(classify(e) == NONDEGENERATE for e in family.edges)
-        ok = result.ok and len(family) == row.z_limited - row.z and nondeg
-        check(
-            f"family-q{row.q}",
-            ok,
-            f"size={len(family)} verified={result.ok} nondegenerate={nondeg}",
-        )
+        fam = _family_row(row.q)
+        ok = fam["verified"] and fam["nondegenerate"] and fam["size"] == row.z_limited - row.z
+        detail = "size={size} verified={verified} nondegenerate={nondegenerate}".format(**fam)
+        check(f"family-q{row.q}", ok, detail)
 
     counting = {
         "counting-q3": (counting_summary(3).full, 66),
@@ -375,13 +358,8 @@ def _cmd_repro(args) -> int:
             f" met={report.met_target}",
         )
 
-    failed = sum(1 for _, ok, _ in checks if not ok)
-    print(
-        json.dumps(
-            {"event": "summary", "passed": len(checks) - failed, "failed": failed},
-            sort_keys=True,
-        )
-    )
+    failed = verdicts.count(False)
+    _emit({"event": "summary", "passed": len(verdicts) - failed, "failed": failed})
     return 0 if failed == 0 else 1
 
 
@@ -484,11 +462,10 @@ def main(argv: list[str] | None = None) -> int:
         _check_output_dirs(args)
         return args.func(args)
     except _CliError as exc:
-        _stderr_json(exc.kind, str(exc))
-        return exc.code
+        _emit({"error": exc.kind, "message": str(exc)}, file=sys.stderr)
     except ValueError as exc:
-        _stderr_json("usage", str(exc))
-        return 2
+        _emit({"error": "usage", "message": str(exc)}, file=sys.stderr)
+    return 2
 
 
 def console_main() -> None:

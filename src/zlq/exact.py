@@ -257,7 +257,8 @@ def _solve(
     board also serves the prune and the conflict pass; the incumbent seed
     gets a second.  ``fitting`` returns the kept table, the conflict pass
     reads its slices, and ``take`` permutes it into the static order, the
-    one table the seed and the tree use.  The tree is one loop.
+    one table the seed and the tree use, once the renumbering has ended
+    inside the budget.  The tree is one loop.
     ``remaining`` holds the current level's untried candidates; with
     ``size`` chosen, the level is cut when ``min(size + |remaining|, cap)``
     cannot beat the incumbent, ``cap`` being the free-cell cap, fixed for
@@ -270,8 +271,9 @@ def _solve(
     base is empty and the candidate list is closed under vertex relabeling.
     Budgets count from ``start`` and must be non-negative; the reported
     node count never exceeds the node budget.  Past the deadline after the
-    conflict pass, the static order is never made and the tree never
-    starts: the result is the seed, as an incumbent.
+    conflict pass or the renumbering, the table is never permuted and the
+    tree never starts: the result is the seed over the kept table, as an
+    incumbent.
     """
     check_budget("node limit", node_limit)
     check_budget("time limit", time_limit)
@@ -284,18 +286,20 @@ def _solve(
     pruned_static = len(candidates) - len(table.edges)
 
     conflicts = pairwise_conflicts(scratch, table, base_placed, deadline)
-    # past the deadline the tree never starts, so the relation needs no order;
-    # a renumbering the deadline cuts short is partial, and the tree skipped too
+    # past the deadline the tree never starts and never reads the relation,
+    # so a pass or a renumbering the deadline cut short does no harm
     late = deadline is not None and time.monotonic() > deadline
     if not late:
-        # static order, most conflicts first; only the renumbered table and masks
-        # stay.  The relation C is symmetric, so P C P^T is P (P C)^T.
+        # static order, most conflicts first.  The relation C is symmetric, so
+        # P C P^T is P (P C)^T.  Only a tree that will run gets the renumbered
+        # table and masks, and then only they stay.
         perm = sorted(range(len(table.edges)), key=lambda k: -conflicts[k].bit_count())
-        table = table.take(perm)
         columns = _transpose([conflicts[k] for k in perm], deadline)
-        conflicts = [columns[k] for k in perm]
-        del perm, columns
         late = deadline is not None and time.monotonic() > deadline
+        if not late:
+            table = table.take(perm)
+            conflicts = [columns[k] for k in perm]
+        del perm, columns
 
     edges, coords, nondeg, every = table.edges, table.coords, table.nondeg, table.everything
     orbit_count: int | None = None

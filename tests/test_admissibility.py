@@ -693,3 +693,25 @@ def test_recheck_is_insertion_ok_on_every_own_ok_candidate(q, mode, rounds, samp
             assert board.recheck_ok(coords[k], placed) == verify(extended).ok, (family, pool[k])
         assert (_board_state(board), placed) == before
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_insertion_ok_needs_no_nondeg_flag(q, mode):
+    # a candidate's own cells are checked free first, and a degenerate
+    # candidate's opposite corners are its own cells, so its C2 check never
+    # fires: passing True for every candidate gives the same verdicts
+    rng = random.Random(101 * q + len(mode))
+    pool = candidate_family(q, mode)
+    table = ScratchBoard(q).table(pool)
+    reference = reference_family(q)
+    bases = [[], list(reference.edges)] + [random_subfamily(rng, reference).edges for _ in range(3)]
+    verdicts = set()
+    for base in bases:
+        board, placed = ScratchBoard.over(q, base)
+        for k, coords in enumerate(table.coords):
+            verdict = board.insertion_ok(coords, table.nondeg[k], placed)
+            assert board.insertion_ok(coords, True, placed) == verdict, (base, pool[k])
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert all(table.nondeg) == (mode == "nondeg")

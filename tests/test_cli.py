@@ -425,6 +425,20 @@ def test_repro_skipping_q4(capsys):
     assert {f"family-q{q}" for q in (3, 4, 5, 6, 7)} <= names
 
 
+def test_every_json_line_is_compact_with_sorted_keys(capsys):
+    def compact(line):
+        return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+    code, out, err = run_cli(capsys, "repro", "--skip-q4")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines and lines == [compact(line) for line in lines]
+    code, out, err = run_cli(capsys, "no-such-command")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines == [compact(line) for line in lines]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["families", "--q", "3"], 0), (["stats", "--q", "1"], 2)],

@@ -9,7 +9,7 @@ import pytest
 
 from zlq import Family, SearchConfig, lift_extend, run_search, solve_exact, verify
 from zlq import exact
-from zlq.admissibility import OwnRuleState, ScratchBoard
+from zlq.admissibility import CandidateTable, OwnRuleState, ScratchBoard
 from zlq.board import BoardError, candidate_family, counting_summary
 from zlq.exact import (
     _transpose,
@@ -548,6 +548,47 @@ def test_time_limit_covers_preprocessing():
     result = solve_exact(8, symmetry=True, time_limit=1.0)
     assert time.monotonic() - start < 2.5
     assert result.status == "incumbent" and result.orbit_count is not None
+    assert verify(result.certificate).ok and result.size >= 1
+
+
+class _SetClock:
+    """A stand-in for the ``time`` module whose clock reads ``now`` until moved."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_a_deadline_inside_the_renumbering_takes_no_static_order_table(symmetry, monkeypatch):
+    # the first transpose closes the conflict relation, the second renumbers it;
+    # the clock passes the one-second deadline during the second
+    clock = _SetClock()
+    transposes = []
+    real_transpose = exact._transpose
+
+    def transpose(rows, deadline):
+        transposes.append(len(rows))
+        if len(transposes) == 2:
+            clock.now = 10.0
+        return real_transpose(rows, deadline)
+
+    takes = []
+    real_take = CandidateTable.take
+
+    def take(self, indices):
+        takes.append(len(indices))
+        return real_take(self, indices)
+
+    monkeypatch.setattr(exact, "time", clock)
+    monkeypatch.setattr(exact, "_transpose", transpose)
+    monkeypatch.setattr(CandidateTable, "take", take)
+    result = solve_exact(4, symmetry=symmetry, time_limit=1.0)
+    assert len(transposes) == 2
+    assert len(takes) == 1  # by ``fitting`` alone: the tree never starts
+    assert result.status == "incumbent" and result.nodes == 0
     assert verify(result.certificate).ok and result.size >= 1
 
 
