@@ -52,8 +52,9 @@ its conflict rows with the state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import compress, starmap
+from itertools import starmap
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -66,12 +67,12 @@ from .board import (
     check_q,
     classify,
     make_edge,
+    nondegenerate,
     rows,
     validate_cell,
 )
 from .families import Family
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 Coords = tuple[int, int, int, int]  # (row index, column) of each half of an edge
 Placed = tuple[int, int, int, int, bool]  # a placed edge's coords and nondegeneracy
 
@@ -185,7 +186,7 @@ class ScratchBoard:
         for e in edges:
             coords = board.coords(e)
             board.place(*coords)
-            placed.append((*coords, _nondegenerate(*coords)))
+            placed.append((*coords, nondegenerate(*coords)))
         return board, placed
 
     def coords(self, edge: TwoEdge) -> Coords:
@@ -306,15 +307,9 @@ class ScratchBoard:
         return accepted
 
 
-def _nondegenerate(r1: int, c1: int, r2: int, c2: int) -> bool:
-    """Whether an edge's halves differ in both row and column (C2 applies)."""
-    return r1 != r2 and c1 != c2
-
-
 def _set_bits(mask: int) -> list[int]:
     """The indices of the set bits of ``mask``, ascending."""
-    digits = format(mask, "b")[::-1].encode().translate(_BINARY_DIGITS)
-    return list(compress(range(len(digits)), digits))
+    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
 
 
 def _slices(coords: Sequence[tuple[int, ...]], part: int, size: int) -> list[int]:
@@ -363,7 +358,7 @@ class CandidateTable:
         """Lay out ``edges`` at ``coords`` on a board of ``n_rows`` x ``n_cols``."""
         self.edges = edges
         self.coords = coords
-        self.nondeg = list(starmap(_nondegenerate, coords))
+        self.nondeg = list(starmap(nondegenerate, coords))
         self.row1, self.col1, self.row2, self.col2 = (
             _slices(coords, part, size)
             for part, size in enumerate((n_rows, n_cols, n_rows, n_cols))
@@ -572,7 +567,7 @@ def incremental_check(family: Family, edge: TwoEdge) -> bool:
         return False
     scratch, placed = ScratchBoard.over(family.q, family.edges)
     coords = scratch.coords(edge)
-    return scratch.insertion_ok(coords, _nondegenerate(*coords), placed)
+    return scratch.insertion_ok(coords, nondegenerate(*coords), placed)
 
 
 def static_prune_flags(q: int, candidates: list[TwoEdge]) -> list[bool]:

@@ -94,18 +94,22 @@ def make_edge(half1: Cell, half2: Cell, q: int | None = None) -> TwoEdge:
     return (half1, half2) if half1 <= half2 else (half2, half1)
 
 
+def nondegenerate(row1: Row | int, col1: int, row2: Row | int, col2: int) -> bool:
+    """Whether two halves differ in both row and column, so the opposite-corner rule applies.
+
+    Rows may be row pairs or row indices: equal pairs have equal indices.
+    """
+    return row1 != row2 and col1 != col2
+
+
 def classify(edge: TwoEdge) -> str:
     """Degeneracy class of a 2-edge; invariant under swapping the halves."""
     (i1, j1, c1), (i2, j2, c2) = edge
-    same_row = (i1, j1) == (i2, j2)
-    same_col = c1 == c2
-    if same_row and same_col:
+    if edge[0] == edge[1]:
         raise BoardError(f"equal halves in {edge}")
-    if same_row:
-        return ROW_DEGENERATE
-    if same_col:
-        return COLUMN_DEGENERATE
-    return NONDEGENERATE
+    if nondegenerate((i1, j1), c1, (i2, j2), c2):
+        return NONDEGENERATE
+    return ROW_DEGENERATE if c1 != c2 else COLUMN_DEGENERATE
 
 
 def touches_vertex(edge: TwoEdge, v: int) -> bool:
@@ -123,12 +127,14 @@ def candidate_family(q: int, mode: Mode = "full") -> list[TwoEdge]:
     check_q(q)
     check_mode(mode)
     cells = available_cells(q)
-    nondeg_only = mode == "nondeg"
+    if mode == "full":
+        return [(a, b) for k, a in enumerate(cells) for b in cells[k + 1 :]]
+    halves = [((i, j), c) for i, j, c in cells]
     return [
         (a, b)
-        for k, a in enumerate(cells)
-        for b in cells[k + 1 :]
-        if not nondeg_only or ((a[0] != b[0] or a[1] != b[1]) and a[2] != b[2])
+        for k, (a, (ra, ca)) in enumerate(zip(cells, halves))
+        for b, (rb, cb) in zip(cells[k + 1 :], halves[k + 1 :])
+        if nondegenerate(ra, ca, rb, cb)
     ]
 
 

@@ -15,6 +15,7 @@ from zlq import (
 from zlq.admissibility import (
     OwnRuleState,
     ScratchBoard,
+    _set_bits,
     cell_claims,
     corner_cells,
     pattern_cells,
@@ -715,3 +716,14 @@ def test_insertion_ok_needs_no_nondeg_flag(q, mode):
             verdicts.add(verdict)
     assert verdicts == {True, False}
     assert all(table.nondeg) == (mode == "nondeg")
+
+
+def test_set_bits_lists_every_set_bit_ascending():
+    # q=7 has 14,028 candidates; a fill keeps about 355 of them
+    size = 14_028
+    rng = random.Random(7)
+    masks = [0, 1, 1 << (size - 1), (1 << size) - 1]
+    for count in (355, 13_000):  # sparse and dense
+        masks.append(sum(1 << k for k in rng.sample(range(size), count)))
+    for m in masks:
+        assert _set_bits(m) == [k for k in range(m.bit_length()) if m >> k & 1]

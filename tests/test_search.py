@@ -1,6 +1,4 @@
 import random
-import sys
-from array import array
 from dataclasses import replace
 from itertools import islice, permutations
 from types import SimpleNamespace
@@ -129,14 +127,9 @@ def _unmix64(z):
 
 
 def test_shuffle_blocks_draw_exactly_as_below():
-    lanes, least = zlq.rng._LANES, zlq.rng._MIN_BLOCK
-    # a list of n items takes n - 1 draws; cover both sides of a short
-    # list, of a full block, of two blocks and of the shortest tail block
-    draws = {least - 1, least, least + 1, lanes - 1, lanes, lanes + 1}
-    draws |= {2 * lanes - 1, 2 * lanes, 2 * lanes + 1}
-    draws |= {lanes + least - 1, lanes + least, lanes + least + 1}
-    lengths = sorted({d + 1 for d in draws} | {2_257, 12_180})
-    for seed in (0, 1, 1 << 63, _MASK64):  # the lane adds wrap at the top seeds
+    # short lists, lists on either side of 32, 128 and 256 items, and long ones
+    lengths = [*range(4), 31, 32, 33, 127, 128, 129, 255, 256, 257, 1_000, 2_257, 12_180]
+    for seed in (0, 1, 1 << 63, _MASK64):  # the state wraps past 2**64 at the top seeds
         for length in lengths:
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             xs, ys = list(range(length)), list(range(length))
@@ -151,10 +144,10 @@ def test_shuffle_blocks_draw_exactly_as_below():
     ((1 << 64) - 800, 0),  # fails z < 2**64 - n, lies below the exact limit
 ])
 def test_shuffle_block_with_a_near_top_draw_matches_below(monkeypatch, planted, redraws):
-    # draw 200 of a 1,000-item list falls inside the second block, at n = 800
+    # draw 200 of a 1,000-item list falls at n = 800
     length, k = 1_000, 200
     n = length - k
-    assert k // zlq.rng._LANES == 1 and (1 << 64) % n != 0
+    assert (1 << 64) % n != 0
     assert (planted >= (1 << 64) - (1 << 64) % n) == (redraws == 1)
     state = _unmix64(planted)
     assert mix64(state) == planted
@@ -171,24 +164,13 @@ def test_shuffle_block_with_a_near_top_draw_matches_below(monkeypatch, planted, 
     fast, slow = SplitMix64(seed), SplitMix64(seed)
     xs, ys = list(range(length)), list(range(length))
     fast.shuffle(xs)
-    # only the block holding the near-top draw was redone by the scalar loop
-    assert calls[0] == zlq.rng._LANES + redraws
+    # one draw per position, plus the redraw of an out-of-range one
+    assert calls[0] == length - 1 + redraws
     calls[0] = 0
     _shuffle_by_below(slow, ys)
     assert calls[0] == length - 1 + redraws
     assert xs == ys
     assert fast._state == slow._state == (seed + calls[0] * _GAMMA) & _MASK64
-
-
-def test_lanes_read_back_alike_in_either_byte_order():
-    state = 0xDEADBEEF
-    expected = [mix64(state + (k + 1) * _GAMMA) for k in range(zlq.rng._LANES)]
-    packed = zlq.rng._mix_lanes(state)
-    for order in ("little", "big"):
-        words = array("Q", packed.to_bytes(16 * zlq.rng._LANES, order))
-        if order != sys.byteorder:
-            words.byteswap()  # as a machine of that byte order reads them
-        assert list(memoryview(words)[zlq.rng._LOW_WORDS[order]]) == expected, order
 
 
 def test_bounded_draws_reject_bad_input():
