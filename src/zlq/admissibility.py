@@ -29,10 +29,8 @@ three mask intersections; tests compare it exhaustively with the
 definition.  A candidate's own rules never involve its own two cells, so
 they are checked before it is placed, and only the re-check of the edges
 already on the board (``ScratchBoard.recheck_ok``) needs the new cells.
-``ScratchBoard.first_fit`` is the batched form of the kernel: greedy
-first-fit over a candidate order, shared by the search fills and the exact
-solver's seed.  Every kernel board is built one way, by
-``ScratchBoard.over``, which places a base family.
+Every kernel board is built one way, by ``ScratchBoard.over``, which
+places a base family.
 
 ``CandidateTable`` is the one layout of a candidate list on a board: the
 edges, their coords and nondegeneracy flags (worked out from the coords),
@@ -45,9 +43,18 @@ a board, and keeps it up to date as edges are placed and undone;
 ``insertion_ok`` with nothing placed, by tested contract.  It is the one
 judge of own rules over a whole table: ``ScratchBoard.fitting`` (the
 static prune, or the fit against a frozen base) is one ``own_ok`` mask
-plus ``recheck_ok`` on each survivor, the search filters each fill's
-order through it, and the exact solver forward-checks its tree and builds
-its conflict rows with the state.
+plus ``recheck_ok`` on each survivor, and the exact solver forward-checks
+its tree and builds its conflict rows with the state.
+
+``OwnRuleState.first_fit`` is the one greedy first fit, shared by the
+search fills and the exact solver's seed.  It forward-checks the placed
+edges too (after Haralick & Elliott, Artif. Intell. 14, 1980):
+``threat_cells`` lists the free cells whose occupation alone would
+complete a placed edge's corner pair or five-cell pattern, and
+``CandidateTable.on_cells`` maps them to the candidates with a half
+there.  A candidate whose own rules fail or that sits on a threat cell
+costs one flag lookup; ``recheck_ok`` judges the few left, which still
+catches a pattern that both halves of a candidate complete together.
 """
 
 from __future__ import annotations
@@ -285,31 +292,73 @@ class ScratchBoard:
         own = _set_bits(table.own_ok(self))
         return table.take([k for k in own if not placed or self.recheck_ok(coords[k], placed)])
 
-    def first_fit(
-        self, order: Iterable[int], table: CandidateTable, placed: list[Placed]
-    ) -> list[int]:
-        """Greedy first-fit: place every candidate in ``order`` that ``insertion_ok`` accepts.
-
-        ``order`` holds indices into ``table``; ``placed`` must describe
-        the edges already on the board and grows by each accepted
-        candidate, which stays placed.  Returns the accepted indices in
-        order.
-        """
-        insertion_ok = self.insertion_ok
-        coords, nondeg = table.coords, table.nondeg
-        accepted = []
-        for k in order:
-            ck = coords[k]
-            if insertion_ok(ck, nondeg[k], placed):
-                self.place(*ck)
-                placed.append((*ck, nondeg[k]))
-                accepted.append(k)
-        return accepted
-
-
 def _set_bits(mask: int) -> list[int]:
     """The indices of the set bits of ``mask``, ascending."""
     return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
+
+
+def _flags(mask: int, size: int) -> bytearray:
+    """Byte k is 1 when bit k of ``mask`` is set and 0 otherwise, for k in range(size)."""
+    return bytearray(format(mask | 1 << size, "b")[:0:-1], "ascii").translate(_DIGIT_FLAGS)
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def threat_cells(board: ScratchBoard, placed: list[Placed]) -> list[int]:
+    """Per row index, a column mask of the free cells whose occupation alone breaks a placed edge.
+
+    For a placed edge (r1, c1, r2, c2), let X be the rows outside
+    {r1, r2} occupied in columns c1 and c2, and Y the columns outside
+    {c1, c2} occupied in rows r1 and r2.  A five-cell pattern misses
+    exactly one cell at (x, y) for x in X and y in Y; at (x, c1) or
+    (x, c2), for a row x outside {r1, r2} occupied somewhere in Y, when
+    the other cell is occupied; and at (r1, y) or (r2, y), for a column y
+    outside {c1, c2} occupied somewhere in X, when the other cell is
+    occupied, or when free if r1 = r2.  (When c1 = c2, Y is empty on an
+    admissible board: row {y, c1} holds both 1-edge cells of a witness.)
+    The opposite-corner pair misses one corner when the other is occupied.
+    A pattern that misses two cells is not listed, even when one
+    candidate would fill both.
+    """
+    col_masks, row_masks = board.col_masks, board.row_masks
+    threats = [0] * len(col_masks)
+    all_cols = (1 << len(row_masks)) - 1
+    for r1, c1, r2, c2, _ in placed:
+        m1, m2 = col_masks[r1], col_masks[r2]
+        cols = 1 << c1 | 1 << c2
+        rws = 1 << r1 | 1 << r2
+        # both cells go in: one is occupied, and a degenerate edge's corners are its own
+        if (m1 >> c2 | m2 >> c1) & 1:
+            threats[r1] |= 1 << c2
+            threats[r2] |= 1 << c1
+        xs = row_masks[c1] & row_masks[c2] & ~rws
+        if xs:  # (r1, y) or (r2, y)
+            ys = (m1 ^ m2 if r1 != r2 else ~m1) & all_cols & ~cols
+            while ys:
+                low = ys & -ys
+                if row_masks[low.bit_length() - 1] & xs:
+                    threats[r1] |= low
+                    threats[r2] |= low
+                ys ^= low
+        ys = m1 & m2 & ~cols
+        if ys:
+            meet = 0  # the rows occupied in some column of Y
+            while xs:  # (x, y)
+                low = xs & -xs
+                threats[low.bit_length() - 1] |= ys
+                xs ^= low
+            while ys:
+                low = ys & -ys
+                meet |= row_masks[low.bit_length() - 1]
+                ys ^= low
+            # (x, c1) or (x, c2)
+            meet &= ~rws & (row_masks[c1] ^ row_masks[c2])
+            while meet:
+                low = meet & -meet
+                threats[low.bit_length() - 1] |= cols
+                meet ^= low
+    return [t & ~m for t, m in zip(threats, col_masks)]
 
 
 def _slices(coords: Sequence[tuple[int, ...]], part: int, size: int) -> list[int]:
@@ -349,10 +398,13 @@ class CandidateTable:
     half lies in row index x, and bit k of ``col1[y]`` (``col2[y]``) when
     it lies in column y; ``everything`` has a bit per candidate.
     ``own_ok`` judges every candidate's own rules on one board at once, in
-    a few hundred mask operations.
+    a few hundred mask operations, and ``on_cells`` finds the candidates
+    with a half on given cells, caching each cell's mask in ``cell_masks``.
     """
 
-    __slots__ = ("edges", "coords", "nondeg", "row1", "row2", "col1", "col2", "everything")
+    __slots__ = (
+        "edges", "coords", "nondeg", "row1", "row2", "col1", "col2", "everything", "cell_masks",
+    )
 
     def __init__(self, edges: list[TwoEdge], coords: list[Coords], n_rows: int, n_cols: int):
         """Lay out ``edges`` at ``coords`` on a board of ``n_rows`` x ``n_cols``."""
@@ -364,6 +416,7 @@ class CandidateTable:
             for part, size in enumerate((n_rows, n_cols, n_rows, n_cols))
         )
         self.everything = (1 << len(coords)) - 1
+        self.cell_masks: list[int | None] = [None] * (n_rows * n_cols)  # on_cells' cache
 
     def take(self, indices: Sequence[int]) -> CandidateTable:
         """The table of the candidates at ``indices``, in that order."""
@@ -373,6 +426,26 @@ class CandidateTable:
             len(self.row1),
             len(self.col1),
         )
+
+    def on_cells(self, cells: list[int]) -> int:
+        """The mask of the candidates with a half on a cell in ``cells`` (a column mask per row).
+
+        A cell's mask, ``row1[r] & col1[c] | row2[r] & col2[c]``, is worked
+        out the first time it is asked for and cached on the table.
+        """
+        row1, row2, col1, col2, cache = self.row1, self.row2, self.col1, self.col2, self.cell_masks
+        n_cols = len(col1)
+        mask = 0
+        for r, columns in enumerate(cells):
+            while columns:
+                low = columns & -columns
+                c = low.bit_length() - 1
+                columns ^= low
+                on = cache[r * n_cols + c]
+                if on is None:
+                    on = cache[r * n_cols + c] = row1[r] & col1[c] | row2[r] & col2[c]
+                mask |= on
+        return mask
 
     def own_ok(self, board: ScratchBoard) -> int:
         """The mask of the candidates whose own rules hold on ``board``.
@@ -492,6 +565,43 @@ class OwnRuleState:
                 w |= in_col1[y] & in_col2[y]
                 ys ^= low
             self.five |= both & w
+
+    def first_fit(self, order: Iterable[int], placed: list[Placed]) -> list[int]:
+        """Greedy first fit: place every candidate in ``order`` that keeps the board admissible.
+
+        ``order`` holds indices into the table; ``placed`` must describe
+        the edges on the board and grows by each accepted candidate, which
+        the state places and which stays placed.  A candidate is skipped by
+        one flag lookup when its own rules fail (``dead``) or a half lies on
+        a cell of ``threat_cells``.  The board only gains cells, so by
+        heredity a killed candidate stays killed: each accept adds the
+        candidates it kills to one mask and refreshes the flags from it.
+        ``recheck_ok`` judges the rest, so a pattern completed by both
+        halves together is still caught, and the accepted list is the one
+        ``insertion_ok`` would give, one candidate at a time.  Returns the
+        accepted indices in order.
+        """
+        table, board = self.table, self.board
+        coords, nondeg = table.coords, table.nondeg
+        recheck_ok = board.recheck_ok
+        threats = threat_cells(board, placed)
+        killed = self.dead | table.on_cells(threats)
+        flags = _flags(killed, len(coords))
+        accepted = []
+        for k in order:
+            if flags[k]:
+                continue
+            ck = coords[k]
+            if placed and not recheck_ok(ck, placed):
+                continue
+            self.place(*ck)
+            placed.append((*ck, nondeg[k]))
+            accepted.append(k)
+            fresh = threat_cells(board, placed)
+            killed |= self.dead | table.on_cells([a & ~b for a, b in zip(fresh, threats)])
+            threats = fresh
+            flags = _flags(killed, len(coords))
+        return accepted
 
     def undo(self) -> None:
         """Take the last placed edge off the board and restore the masks."""

@@ -39,12 +39,22 @@ for the static prune, the kept list for the conflict pass, and the kept
 list in the static order for the tree.  The static order depends on the
 conflict rows, so the third table cannot be built first.  The tree is one
 loop over an explicit stack of (chosen candidate, untried candidates)
-pairs.  A first-fit pass over the static order, on a second board, seeds
-the incumbent, and only a strictly larger family replaces it, so the
-certificate is the first maximum family the enumeration meets and the same
-call always returns it.  Every bound cuts only subtrees that cannot beat
-the incumbent strictly, so the bounds change node counts but never the
-certificate of an exhausted tree.
+pairs.  A first fit over the static order (``OwnRuleState.first_fit``,
+the search fills' first fit), on a second board, seeds the incumbent, and
+only a strictly larger family replaces it, so the certificate is the first
+maximum family the enumeration meets and the same call always returns it.
+Every bound cuts only subtrees that cannot beat the incumbent strictly, so
+the bounds change node counts but never the certificate of an exhausted
+tree.
+
+The seed drops the candidates on the placed edges' threat cells (cells
+whose occupation alone breaks a placed edge) by one flag lookup, but the
+tree does not yet: it still visits such a candidate and rejects it with
+``recheck_ok``.  The first fit only ever adds edges, so its threat mask
+only grows; the tree also undoes them, so it needs the mask kept with an
+undo stack, and recomputing it at every descent instead cost more than the
+nodes it saved on the budgeted q=5 solve.  Dropping those candidates would
+also change every node count the tree is pinned to.
 """
 
 from __future__ import annotations
@@ -313,7 +323,7 @@ def _solve(
 
     # incumbent seed: first-fit over the static order, on a board of its own
     seed_board, seed_placed = ScratchBoard.over(q, base.edges)
-    best = tuple(seed_board.first_fit(range(len(edges)), table, seed_placed))
+    best = tuple(OwnRuleState(table, seed_board).first_fit(range(len(edges)), seed_placed))
     cap = counting_summary(q).available // 2 - len(base)  # each edge takes two free cells
     events: list[dict] = [
         {"event": "bound", "where": "root", "value": min(len(edges), cap), "incumbent": len(best)}

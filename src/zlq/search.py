@@ -6,11 +6,14 @@ remove one edge (exhaustively) or a sampled pair of edges and refill
 greedily with a fresh shuffled order, keeping the result only when it is
 strictly larger.  Restarts are independent given (master seed, restart
 index), so runs are bit-stable.  A run lays out one ``CandidateTable``,
-the whole candidate family with no static prune, and each fill first-fits
-a shuffle of its own-rule survivors (``fill`` in ``_one_restart`` says
-why heredity makes that exact).  ``run_search`` keeps one running best and
-returns from one place: the winner is re-checked by the full verifier, and
-a failure raises ``RuntimeError``.
+the whole candidate family with no static prune.  Each fill builds one
+``OwnRuleState`` on its board, reads its own-rule survivors from it, and
+first-fits a shuffle of them with ``OwnRuleState.first_fit``, which
+skips a candidate that would break a placed edge through one cell by a
+flag lookup (``fill`` in ``_one_restart`` says why heredity makes the
+filter exact).  ``run_search`` keeps one running best and returns from
+one place: the winner is re-checked by the full verifier, and a failure
+raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .board import (
     Mode, NONDEGENERATE, TwoEdge, candidate_family, check_budget, check_mode, check_q, classify,
 )
 from .families import Family
-from .admissibility import CandidateTable, ScratchBoard, _set_bits, verify
+from .admissibility import CandidateTable, OwnRuleState, ScratchBoard, _set_bits, verify
 from .rng import derive_stream
 
 Progress = Callable[[str], None]
@@ -109,18 +112,24 @@ def _one_restart(
     def fill(kept: list[TwoEdge]) -> list[TwoEdge]:
         """``kept`` plus a first fit over a shuffle of the table's own-rule survivors.
 
+        One ``OwnRuleState`` on the fill's board gives the survivors and
+        runs the first fit, which places each accepted edge through it.
         By heredity this accepts what a first fit over the whole table
         would in any order that restricts to the shuffled one: the board
         only gains cells during the pass, so a candidate whose own rules
         fail on the starting board fails on every later one, the empty
-        board included, so the table needs no static prune.  And a uniform
-        shuffle of the whole table restricts to a uniform shuffle of the
-        survivors, so the fill's result keeps its distribution.
+        board included, so the table needs no static prune.  The same
+        argument lets the first fit drop, by one flag lookup, every
+        candidate whose own rules fail or that has a half on a threat cell
+        of a placed edge.  And a uniform shuffle of the whole table
+        restricts to a uniform shuffle of the survivors, so the fill's
+        result keeps its distribution.
         """
         board, placed = ScratchBoard.over(config.q, kept)
-        survivors = _set_bits(table.own_ok(board))
+        state = OwnRuleState(table, board)
+        survivors = _set_bits(table.everything & ~state.dead)
         stream.shuffle(survivors)
-        return kept + [table.edges[k] for k in board.first_fit(survivors, table, placed)]
+        return kept + [table.edges[k] for k in state.first_fit(survivors, placed)]
 
     def attempt(removals: list[TwoEdge]) -> bool:
         nonlocal family

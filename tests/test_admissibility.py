@@ -20,6 +20,7 @@ from zlq.admissibility import (
     corner_cells,
     pattern_cells,
     static_prune_flags,
+    threat_cells,
     witness_set,
 )
 from zlq.board import NONDEGENERATE, candidate_family, counting_summary, rows
@@ -422,7 +423,7 @@ def _assert_first_fit_matches_loop(q, base, cands, order):
     nondeg = [classify(e) == NONDEGENERATE for e in cands]
     fast, fast_placed = ScratchBoard.over(q, base.edges)
     slow, slow_placed = ScratchBoard.over(q, base.edges)
-    accepted = fast.first_fit(order, ScratchBoard(q).table(cands), fast_placed)
+    accepted = OwnRuleState(ScratchBoard(q).table(cands), fast).first_fit(order, fast_placed)
     assert accepted == _first_fit_by_hand(slow, order, coords, nondeg, slow_placed)
     assert _board_state(fast) == _board_state(slow)
     assert fast_placed == slow_placed
@@ -458,7 +459,8 @@ def test_first_fit_matches_insertion_loop_large():
 def _first_fit_family(q, base, order):
     """``base`` plus what ``first_fit`` accepts from the 2-edges in ``order``."""
     scratch, placed = ScratchBoard.over(q, base.edges)
-    accepted = scratch.first_fit(range(len(order)), ScratchBoard(q).table(order), placed)
+    state = OwnRuleState(ScratchBoard(q).table(order), scratch)
+    accepted = state.first_fit(range(len(order)), placed)
     return Family.from_edges(q, list(base.edges) + [order[k] for k in accepted])
 
 
@@ -522,7 +524,7 @@ def _random_families(rng, q, rounds):
         order = list(range(len(cands)))
         rng.shuffle(order)
         board, placed = ScratchBoard.over(q, [])
-        maximal = [cands[k] for k in board.first_fit(order, table, placed)]
+        maximal = [cands[k] for k in OwnRuleState(table, board).first_fit(order, placed)]
         partial = rng.sample(maximal, rng.randint(1, len(maximal) - 1)) if len(maximal) > 1 else []
         families += [partial, maximal]
     return families
@@ -727,3 +729,93 @@ def test_set_bits_lists_every_set_bit_ascending():
         masks.append(sum(1 << k for k in rng.sample(range(size), count)))
     for m in masks:
         assert _set_bits(m) == [k for k in range(m.bit_length()) if m >> k & 1]
+
+
+def _cells_that_break_alone(q, family):
+    """The free cells whose occupation alone completes a rule pattern of an edge of ``family``.
+
+    Definition level: the occupied cells are the 1-edge cells and the
+    family's halves, and the patterns are each nondegenerate edge's
+    ``corner_cells`` and every edge's ``pattern_cells`` over its
+    ``witness_set``.
+    """
+    occupied = {(i, j, c) for i, j in rows(q) for c in (i, j)}
+    occupied.update(half for edge in family for half in edge)
+    breaking = set()
+    for edge in family:
+        patterns = [pattern_cells(edge, w) for w in witness_set(edge, q)]
+        if classify(edge) == NONDEGENERATE:
+            patterns.append(corner_cells(edge))
+        for pattern in patterns:
+            missing = set(pattern) - occupied
+            if len(missing) == 1:
+                breaking |= missing
+    return breaking
+
+
+def _degenerate_first_families(rng, q, rounds):
+    """Maximal families first-fit with the degenerate candidates first, and random parts of them."""
+    cands = candidate_family(q, "full")
+    table = ScratchBoard(q).table(cands)
+    families = []
+    for _ in range(rounds):
+        order = sorted(range(len(cands)), key=lambda k: (table.nondeg[k], rng.random()))
+        board, placed = ScratchBoard.over(q, [])
+        maximal = [cands[k] for k in OwnRuleState(table, board).first_fit(order, placed)]
+        families += [maximal, rng.sample(maximal, len(maximal) // 2)]
+    return families
+
+
+def _threat_bases(q, mode, rng):
+    """Every admissible base at q=3; every subset of the reference family at q=4; random above.
+
+    From q=4 on, random families rich in degenerate edges join them: a
+    degenerate edge's pair of pattern cells in its one row (or column) is
+    one cell.
+    """
+    if q == 3:
+        return _admissible_families(q, mode)
+    reference = list(reference_family(q).edges)
+    degenerate = _degenerate_first_families(rng, q, 3)
+    if q == 4:
+        subsets = [
+            [e for k, e in enumerate(reference) if (bits >> k) & 1]
+            for bits in range(1 << len(reference))
+        ]
+        return subsets + degenerate
+    subsets = [list(random_subfamily(rng, reference_family(q)).edges) for _ in range(3)]
+    return _random_families(rng, q, 3) + subsets + [reference] + degenerate
+
+
+@pytest.mark.parametrize("mode", ["full", "nondeg"])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_threat_cells_kill_exactly_the_single_cell_completions(q, mode):
+    # among the candidates whose own rules hold, the threat mask kills
+    # those with a half on a cell that alone completes a placed edge's
+    # corner pair or five-cell pattern: each fails recheck_ok (sound), and
+    # every candidate that fails recheck_ok through one of its cells is
+    # killed (complete); only completions by both halves are left to it,
+    # and from q=4 on some arise, so the first fit still needs recheck_ok
+    rng = random.Random(113 * q + len(mode))
+    table = ScratchBoard(q).table(candidate_family(q, mode))
+    bases = _threat_bases(q, mode, rng)
+    assert [] in bases and len(bases) > 4
+    killed_any = pairs = 0
+    for base in bases:
+        board, placed = ScratchBoard.over(q, base)
+        before = _board_state(board), list(placed)
+        own = _set_bits(table.own_ok(board))
+        killed = table.on_cells(threat_cells(board, placed))
+        breaking = _cells_that_break_alone(q, base)
+        for k in own:
+            edge, kills = table.edges[k], (killed >> k) & 1
+            assert kills == any(half in breaking for half in edge), (base, edge)
+            if kills:  # sound
+                assert not board.recheck_ok(table.coords[k], placed), (base, edge)
+                killed_any += 1
+            elif not board.recheck_ok(table.coords[k], placed):
+                assert not verify(Family.from_edges(q, base + [edge])).ok, (base, edge)
+                pairs += 1
+        assert (_board_state(board), placed) == before
+    assert killed_any
+    assert (pairs > 0) == (q >= 4)

@@ -14,7 +14,7 @@ from zlq import (
     run_search,
     verify,
 )
-from zlq.admissibility import ScratchBoard, _set_bits
+from zlq.admissibility import OwnRuleState, ScratchBoard, _set_bits
 from zlq.board import NONDEGENERATE, candidate_family
 from zlq.fixtures import reference_family
 from zlq.lifting import embed
@@ -292,9 +292,10 @@ def test_config_validation():
 
 def _fill(table, board, placed, stream):
     """One search fill spelled out: first-fit a shuffle of the own-rule survivors."""
-    survivors = _set_bits(table.own_ok(board))
+    state = OwnRuleState(table, board)
+    survivors = _set_bits(table.everything & ~state.dead)
     stream.shuffle(survivors)
-    return board.first_fit(survivors, table, placed)
+    return state.first_fit(survivors, placed)
 
 
 @pytest.mark.parametrize("q, start", [(4, None), (5, None), (6, None), (6, "lift")])
@@ -309,7 +310,38 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
         board, placed = ScratchBoard.over(q, base)
         assert _fill(table, board, placed, stream)
         assert _fill(table, board, placed, stream) == []
-        assert board.first_fit(range(len(table.edges)), table, placed) == []
+        assert OwnRuleState(table, board).first_fit(range(len(table.edges)), placed) == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(q=4, seed=1, restarts=2, delete_width=2),
+        SearchConfig(q=6, seed=2, restarts=1, warm_start=embed(reference_family(5))),
+        SearchConfig(q=7, seed=0, restarts=1),
+    ],
+    ids=["q4-width2", "q6-lift", "q7"],
+)
+def test_one_fill_builds_one_own_rule_state(config, monkeypatch):
+    # a fill reads its survivors from the state it first-fits with, and
+    # builds no other: the states built are the states that ran first fits
+    built, fitted = [], []
+    init, first_fit = OwnRuleState.__init__, OwnRuleState.first_fit
+
+    def counted_init(self, table, board):
+        built.append(self)
+        init(self, table, board)
+
+    def counted_fit(self, order, placed):
+        fitted.append(self)
+        return first_fit(self, order, placed)
+
+    monkeypatch.setattr(OwnRuleState, "__init__", counted_init)
+    monkeypatch.setattr(OwnRuleState, "first_fit", counted_fit)
+    run_search(config)
+    assert len(fitted) > config.restarts  # a first fit and repair fills
+    assert len(built) == len(fitted)
+    assert all(b is f for b, f in zip(built, fitted))
 
 
 @pytest.mark.parametrize("q", range(2, 8))
@@ -376,10 +408,10 @@ def test_run_search_path_is_pinned(config, sizes, best_restart, digest):
 def test_time_limit_cuts_improvement_short(monkeypatch):
     # a clock that passes the deadline as soon as the first fill ends
     fills = []
-    first_fit = ScratchBoard.first_fit
+    first_fit = OwnRuleState.first_fit
 
-    def counted_fill(self, order, table, placed):
-        accepted = first_fit(self, order, table, placed)
+    def counted_fill(self, order, placed):
+        accepted = first_fit(self, order, placed)
         fills.append(len(placed))
         return accepted
 
@@ -389,7 +421,7 @@ def test_time_limit_cuts_improvement_short(monkeypatch):
         expired_reads.append(bool(fills))
         return 1e9 if fills else 0.0
 
-    monkeypatch.setattr(ScratchBoard, "first_fit", counted_fill)
+    monkeypatch.setattr(OwnRuleState, "first_fit", counted_fill)
     monkeypatch.setattr(zlq.search, "time", SimpleNamespace(monotonic=clock))
     result = run_search(SearchConfig(q=7, restarts=2, time_limit=0.5))
     assert len(fills) == 1 and fills[0] > 0  # a first fit, and no repair attempt
@@ -437,15 +469,16 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
     # from random subsets of a search result, and on the run's first fill
     # and a sample of its repair fills.
     fills = []
-    board_first_fit = ScratchBoard.first_fit
+    state_first_fit = OwnRuleState.first_fit
 
-    def recorded(self, order, table, placed):
+    def recorded(self, order, placed):
         start = list(placed)
-        accepted = board_first_fit(self, order, table, placed)
-        fills.append((start, list(order), table, accepted, list(placed), _board_state(self)))
+        accepted = state_first_fit(self, order, placed)
+        after = list(placed), _board_state(self.board)
+        fills.append((start, list(order), self.table, accepted, *after))
         return accepted
 
-    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
+    monkeypatch.setattr(OwnRuleState, "first_fit", recorded)
     found = list(run_search(config).best.edges)
     rng = random.Random(config.seed)
     cases = fills[:1] + rng.sample(fills[1:], min(4, len(fills) - 1))
@@ -469,7 +502,7 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
         others = sorted(set(whole) - set(survivors))
         for full_order in (others + order, order + others, _interleave(rng, order, others)):
             slow, slow_placed = _board_of(config.q, start), list(start)
-            assert board_first_fit(slow, full_order, table, slow_placed) == accepted
+            assert state_first_fit(OwnRuleState(table, slow), full_order, slow_placed) == accepted
             assert slow_placed == fast_placed
             assert _board_state(slow) == fast_state
 
@@ -494,14 +527,14 @@ def _fill_results(monkeypatch, config):
         r1, c1, r2, c2 = scratch.coords(e)
         edge_at[frozenset({(r1, c1), (r2, c2)})] = e
     results = []
-    first_fit = ScratchBoard.first_fit
+    first_fit = OwnRuleState.first_fit
 
-    def recorded(self, order, table, placed):
-        accepted = first_fit(self, order, table, placed)
+    def recorded(self, order, placed):
+        accepted = first_fit(self, order, placed)
         results.append([edge_at[frozenset({(r1, c1), (r2, c2)})] for r1, c1, r2, c2, _ in placed])
         return accepted
 
-    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
+    monkeypatch.setattr(OwnRuleState, "first_fit", recorded)
     run_search(config)
     return results
 
@@ -561,13 +594,13 @@ def test_no_fill_order_holds_a_candidate_that_fails_alone(config, sample, monkey
     lookup = ScratchBoard(config.q)
     edge_at = {lookup.coords(e): e for e in candidate_family(config.q, "full")}
     handed = set()
-    board_first_fit = ScratchBoard.first_fit
+    state_first_fit = OwnRuleState.first_fit
 
-    def recorded(self, order, table, placed):
-        handed.update(edge_at[table.coords[k]] for k in order)
-        return board_first_fit(self, order, table, placed)
+    def recorded(self, order, placed):
+        handed.update(edge_at[self.table.coords[k]] for k in order)
+        return state_first_fit(self, order, placed)
 
-    monkeypatch.setattr(ScratchBoard, "first_fit", recorded)
+    monkeypatch.setattr(OwnRuleState, "first_fit", recorded)
     assert verify(run_search(config).best).ok
     pool = candidate_family(config.q, config.mode)
     if sample is not None:
