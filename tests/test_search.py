@@ -310,7 +310,10 @@ def test_a_complete_first_fit_pass_leaves_nothing_to_add(q, start):
         board, placed = ScratchBoard.over(q, base)
         assert _fill(table, board, placed, stream)
         assert _fill(table, board, placed, stream) == []
-        assert OwnRuleState(table, board).first_fit(range(len(table.edges)), placed) == []
+        assert not any(
+            board.insertion_ok(table.coords[k], table.nondeg[k], placed)
+            for k in range(len(table.edges))
+        )
 
 
 @pytest.mark.parametrize(
@@ -502,9 +505,20 @@ def test_a_filtered_fill_accepts_what_the_unfiltered_one_does(config, monkeypatc
         others = sorted(set(whole) - set(survivors))
         for full_order in (others + order, order + others, _interleave(rng, order, others)):
             slow, slow_placed = _board_of(config.q, start), list(start)
-            assert state_first_fit(OwnRuleState(table, slow), full_order, slow_placed) == accepted
+            assert _first_fit_by_insertion(slow, full_order, table, slow_placed) == accepted
             assert slow_placed == fast_placed
             assert _board_state(slow) == fast_state
+
+
+def _first_fit_by_insertion(board, order, table, placed):
+    """The unfiltered first fit: ``insertion_ok`` judges every candidate in ``order``."""
+    accepted = []
+    for k in order:
+        if board.insertion_ok(table.coords[k], table.nondeg[k], placed):
+            board.place(*table.coords[k])
+            placed.append((*table.coords[k], table.nondeg[k]))
+            accepted.append(k)
+    return accepted
 
 
 def _board_state(board):
